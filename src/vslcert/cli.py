@@ -152,8 +152,8 @@ def cmd_solve(args) -> int:
     _write_csv(
         out / "report.csv",
         header,
-        ["k", "u", "upper_status", "upper_value", "ub", "lower_status",
-         "objective", "lb", "certificate", "nodes", "wall_s"],
+        ["k", "u", "upper_status", "upper_value", "ub", "lb", "certificate",
+         "nodes", "wall_s"],
         (
             (
                 rec.k,
@@ -161,8 +161,6 @@ def cmd_solve(args) -> int:
                 rec.upper_status,
                 rec.upper_value,
                 rec.ub,
-                rec.lower_status,
-                rec.objective,
                 rec.lb,
                 rec.certificate_value,
                 rec.node_count if rec.node_count is not None else "",

@@ -157,9 +157,8 @@ def build_upper(problem: SearchProblem, cuts: CutPool | None = None) -> UpperMod
     x = np.empty((n, m), dtype=int)
     for e in range(n):
         for i in range(m):
-            x[e, i] = mb.add_var(0.0, 1.0 if mask[e, i] else 0.0,
-                                 binary=True, name=f"x_{e + 1}_{i + 1}")
-    lam = mb.add_var(0.0, math.inf, obj=-problem.epsilon, name="lam")
+            x[e, i] = mb.add_var(0.0, 1.0 if mask[e, i] else 0.0, binary=True)
+    lam = mb.add_var(0.0, math.inf, obj=-problem.epsilon)
 
     rho = np.empty((N, n, T), dtype=int)
     y = np.empty((N, n, m, T), dtype=int)
@@ -272,7 +271,7 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
     active = [sc.gamma.index(profile.u[e]) for e in range(n)]
     mb = ModelBuilder()
 
-    lam = mb.add_var(0.0, math.inf, obj=-problem.epsilon, name="lam")
+    lam = mb.add_var(0.0, math.inf, obj=-problem.epsilon)
     eta = np.empty((N, n, T), dtype=int)
     mu = np.empty((N, n, T), dtype=int)
     nu = np.empty((N, n, T), dtype=int)

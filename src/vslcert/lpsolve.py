@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -48,7 +47,6 @@ class LpModel:
     rhs: np.ndarray
     row_scale: np.ndarray
     block_rows: dict[str, int] = field(default_factory=dict)
-    names: list[str | None] | None = None
 
     @property
     def nrows(self) -> int:
@@ -68,7 +66,6 @@ class LpSolution:
     bound: float | None = None
     node_count: int | None = None
     gap: float | None = None
-    timed_out: bool = False
 
 
 class ModelBuilder:
@@ -79,7 +76,6 @@ class ModelBuilder:
         self._ub: list[float] = []
         self._obj: list[float] = []
         self._binary: list[bool] = []
-        self._names: list[str | None] = []
         self._rows_cols: list[list[int]] = []
         self._rows_coefs: list[list[float]] = []
         self._sense: list[str] = []
@@ -90,7 +86,7 @@ class ModelBuilder:
     def nvars(self) -> int:
         return len(self._lb)
 
-    def add_var(self, lb=0.0, ub=math.inf, obj=0.0, binary=False, name=None) -> int:
+    def add_var(self, lb=0.0, ub=math.inf, obj=0.0, binary=False) -> int:
         if binary and not (0 <= lb and ub <= 1):
             raise ValueError("binary variables need bounds inside [0, 1]")
         if lb > ub:
@@ -99,7 +95,6 @@ class ModelBuilder:
         self._ub.append(float(ub))
         self._obj.append(float(obj))
         self._binary.append(bool(binary))
-        self._names.append(name)
         return len(self._lb) - 1
 
     def add_row(self, cols, coefs, sense: str, rhs: float, block: str = "other") -> int:
@@ -130,8 +125,6 @@ class ModelBuilder:
         rhs = np.array(self._rhs)
         for i in range(m):
             cols, coefs = self._rows_cols[i], self._rows_coefs[i]
-            if any(c < 0 or c >= n for c in cols):
-                raise ValueError(f"row {i} references an undeclared variable")
             if scale and coefs:
                 top = max(abs(c) for c in coefs)
                 if top > _SCALE_HI:
@@ -157,7 +150,6 @@ class ModelBuilder:
             rhs=rhs,
             row_scale=scales,
             block_rows=blocks,
-            names=list(self._names),
         )
         if any(self._binary):
             return MilpModel(binary=np.array(self._binary), **kwargs)
@@ -223,8 +215,8 @@ def solve_milp(
     """Branch-and-bound solve of a maximize mixed-binary model.
 
     Returns the incumbent plus the best proven bound. Hitting the time
-    limit is reported via ``timed_out``/``status`` with whatever incumbent
-    exists; infeasibility is propagated as its own status.
+    limit is reported via ``status`` with whatever incumbent exists;
+    infeasibility is propagated as its own status.
     """
     lo = np.empty(model.nrows)
     hi = np.empty(model.nrows)
@@ -263,71 +255,10 @@ def solve_milp(
         value = float(model.obj @ x) if x is not None else -math.inf
         return LpSolution(
             status=TIME_LIMIT, objective=value, x=x,
-            bound=bound, node_count=node_count, gap=gap, timed_out=True,
+            bound=bound, node_count=node_count, gap=gap,
         )
     if res.status == 2:
         return LpSolution(status=INFEASIBLE, objective=-math.inf, x=None)
     if res.status == 3:
         return LpSolution(status=UNBOUNDED, objective=math.inf, x=None)
     raise NumericalError(f"mixed-binary solve failed: {res.message}")
-
-
-def max_residual(model: LpModel, x: np.ndarray) -> float:
-    """Largest constraint or bound violation of x on the scaled rows."""
-    ax = model.A @ x
-    worst = 0.0
-    for i, s in enumerate(model.sense):
-        if s == "<=":
-            worst = max(worst, float(ax[i] - model.rhs[i]))
-        elif s == ">=":
-            worst = max(worst, float(model.rhs[i] - ax[i]))
-        else:
-            worst = max(worst, abs(float(ax[i] - model.rhs[i])))
-    worst = max(worst, float(np.max(model.lb - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - model.ub, initial=0.0)))
-    return worst
-
-
-def write_lp(model: LpModel, path: str | Path) -> Path:
-    """Dump the model in a plain LP text format for external inspection."""
-    path = Path(path)
-
-    def vname(j: int) -> str:
-        if model.names and model.names[j]:
-            return model.names[j]
-        return f"v{j}"
-
-    def terms(cols, coefs) -> str:
-        out = []
-        for c, a in zip(cols, coefs):
-            sign = "-" if a < 0 else "+"
-            out.append(f"{sign} {abs(a):.12g} {vname(c)}")
-        return " ".join(out) if out else "0"
-
-    with open(path, "w") as fh:
-        fh.write("Maximize\n obj: ")
-        nz = np.nonzero(model.obj)[0]
-        fh.write(terms(nz, model.obj[nz]))
-        fh.write("\nSubject To\n")
-        coo = model.A.tocoo()
-        rows: list[tuple[list[int], list[float]]] = [([], []) for _ in range(model.nrows)]
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            rows[i][0].append(int(j))
-            rows[i][1].append(float(v))
-        op = {"<=": "<=", ">=": ">=", "=": "="}
-        for i in range(model.nrows):
-            fh.write(
-                f" c{i}: {terms(rows[i][0], rows[i][1])} {op[model.sense[i]]} "
-                f"{model.rhs[i]:.12g}\n"
-            )
-        fh.write("Bounds\n")
-        for j in range(model.nvars):
-            lo = "-inf" if model.lb[j] == -math.inf else f"{model.lb[j]:.12g}"
-            hi = "+inf" if model.ub[j] == math.inf else f"{model.ub[j]:.12g}"
-            fh.write(f" {lo} <= {vname(j)} <= {hi}\n")
-        if isinstance(model, MilpModel):
-            fh.write("Binary\n")
-            for j in np.nonzero(model.binary)[0]:
-                fh.write(f" {vname(int(j))}\n")
-        fh.write("End\n")
-    return path

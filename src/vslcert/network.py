@@ -33,7 +33,6 @@ from .errors import ConfigError, InfeasibleScenarioError
 
 DEFAULT_JAM_MARGIN = 1.0
 DEFAULT_RADIUS = 1000.0
-DEFAULT_CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,6 @@ class HighwayScenario:
     jam_margin: float = DEFAULT_JAM_MARGIN
     eta_bar: float | None = None
     epsilon: float = DEFAULT_RADIUS
-    beta: float = DEFAULT_CONFIDENCE
     h: float = field(init=False)
     bands: tuple[tuple[float, ...], ...] = field(init=False)
 
@@ -154,8 +152,6 @@ class HighwayScenario:
             raise ValueError("jam_margin must be positive")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        if not (0 < self.beta < 1):
-            raise ValueError("beta must lie in (0, 1)")
         h = self.n * self.delta / self.L
         u_max = max(s.u_bar for s in self.segments)
         if h > 1.0 / u_max + 1e-12:
@@ -218,14 +214,26 @@ def default_eta_bar(scenario: HighwayScenario) -> float:
     return 10.0 * worst
 
 
+def config_number(value, path: str) -> float:
+    """A JSON number as a finite float; ConfigError naming ``path`` otherwise."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(path, "expected a finite number")
+
+
 def _get(cfg: dict, key: str, kind, path: str, default=None, required=True):
     if key not in cfg:
         if required:
             raise ConfigError(f"{path}{key}", "missing required key")
         return default
     value = cfg[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    if kind is float:
+        return config_number(value, f"{path}{key}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is list and isinstance(value, list):
@@ -245,7 +253,6 @@ def load_scenario(source) -> HighwayScenario:
           "pi": 1.0,                # optional jam-density margin
           "eta_bar": 2.0e-3,        # optional dual-slack bound
           "epsilon": 1000.0,        # optional transport radius
-          "beta": 0.95,             # optional confidence level
           "segments": [
             {"f_bar": 3.1e4, "rho_bar": 1050, "u_bar": 140,
              "f_U": 3.1e4, "rho_U": 1050},
@@ -277,14 +284,14 @@ def load_scenario(source) -> HighwayScenario:
     jam_margin = _get(cfg, "pi", float, "", default=DEFAULT_JAM_MARGIN, required=False)
     eta_bar = _get(cfg, "eta_bar", float, "", default=None, required=False)
     epsilon = _get(cfg, "epsilon", float, "", default=DEFAULT_RADIUS, required=False)
-    beta = _get(cfg, "beta", float, "", default=DEFAULT_CONFIDENCE, required=False)
     seg_raw = _get(cfg, "segments", list, "")
 
     gamma = []
     for i, g in enumerate(gamma_raw):
-        if not isinstance(g, (int, float)) or isinstance(g, bool) or g <= 0:
+        g = config_number(g, f"gamma[{i}]")
+        if g <= 0:
             raise ConfigError(f"gamma[{i}]", "expected a positive number")
-        gamma.append(float(g))
+        gamma.append(g)
 
     if len(seg_raw) != n:
         raise ConfigError("segments", f"expected {n} entries, got {len(seg_raw)}")
@@ -314,7 +321,6 @@ def load_scenario(source) -> HighwayScenario:
             jam_margin=jam_margin,
             eta_bar=eta_bar,
             epsilon=epsilon,
-            beta=beta,
         )
     except ValueError as exc:
         raise ConfigError("<scenario>", str(exc)) from exc

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .network import HighwayScenario, SpeedProfile
+from .network import HighwayScenario, SpeedProfile, config_number
 
 # Validation seeds are derived from training seeds by this fixed offset so
 # the two streams never overlap for a given run.
@@ -105,10 +105,10 @@ def _per_edge_bounds(raw, n: int, path: str) -> tuple[tuple[float, ...], tuple[f
     """Accept a scalar, a {lo, hi} object, or a per-edge list of either."""
 
     def one(v, p):
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            return float(v), float(v)
         if isinstance(v, dict) and set(v) == {"lo", "hi"}:
-            return float(v["lo"]), float(v["hi"])
+            return tuple(config_number(v[k], f"{p}.{k}") for k in ("lo", "hi"))
+        if isinstance(v, (int, float)) and not isinstance(v, bool):
+            return (config_number(v, p),) * 2
         raise ConfigError(p, "expected a number or an object with keys lo, hi")
 
     if isinstance(raw, list):
@@ -210,26 +210,6 @@ def propagate_batch(
     """Propagate every sample; order preserving."""
     rho = np.stack([propagate(scenario, profile, s) for s in samples.samples])
     return TrajectoryBatch(rho=rho, u=profile.u)
-
-
-def recursion_residual(
-    scenario: HighwayScenario, batch: TrajectoryBatch, samples: SampleSet
-) -> float:
-    """Largest relative defect of the recursion across a batch."""
-    u = np.array(batch.u)
-    h = scenario.h
-    worst = 0.0
-    for l, sample in enumerate(samples.samples):
-        prev = sample.rho0
-        for t in range(scenario.T):
-            flow = u * prev
-            inflow = np.concatenate(([0.0], flow[:-1]))
-            expect = prev + h * (inflow - flow + sample.omega[:, t])
-            got = batch.rho[l, :, t]
-            scale = max(1.0, float(np.abs(expect).max()))
-            worst = max(worst, float(np.abs(got - expect).max()) / scale)
-            prev = got
-    return worst
 
 
 def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:

@@ -1,11 +1,12 @@
 """Iterative certified search over admissible speed profiles.
 
 Each round solves the mixed-binary upper model (with all prior exclusion
-cuts) for a candidate profile, evaluates that candidate exactly through
-the lower LP, and tightens the running upper and lower bounds. The loop
-stops when the relative gap closes, when the cuts make the upper model
-infeasible (every assignment visited), or when a wall-clock budget runs
-out after at least one candidate with a finite value has been found.
+cuts) for a candidate profile, evaluates that candidate exactly with the
+closed-form certificate, and tightens the running upper and lower
+bounds. The loop stops when the relative gap closes, when the cuts make
+the upper model infeasible (every assignment visited), or when a
+wall-clock budget runs out after at least one candidate with a finite
+value has been found.
 A budget alone never stops the search while every visited candidate is
 worthless: the loop keeps going until the first finite value appears.
 """
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 from .certificate import certificate
 from .errors import NumericalError
+# build_lower, solve_lp: unused, kept for perfbench/tracer.py TARGETS.
 from .linearize import (
     CutPool,
     SearchProblem,
@@ -46,8 +48,6 @@ class IterationRecord:
     upper_status: str
     upper_value: float
     ub: float
-    lower_status: str
-    objective: float
     lb: float
     certificate_value: float
     node_count: int | None
@@ -155,21 +155,17 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
                 report=report("aborted"),
             ) from None
         batch = propagate_batch(scenario, profile, problem.samples)
-        lower = build_lower(problem, profile, batch)
-        lsol = solve_lp(lower.model)
-        obj = lsol.objective if lsol.status == OPTIMAL else -math.inf
         cert = certificate(scenario, profile, batch, epsilon=problem.epsilon)
-        if obj > lb:
-            lb = obj
+        if cert.value > lb:
+            lb = cert.value
             best_u = profile.u
             best_cert = cert
         records.append(IterationRecord(
             k=k, assignment=assignment, u=profile.u,
             upper_status=sol.status,
             upper_value=bound if bound is not None else math.nan,
-            ub=ub, lower_status=lsol.status, objective=obj, lb=lb,
-            certificate_value=cert.value, node_count=sol.node_count,
-            wall=time.monotonic() - start,
+            ub=ub, lb=lb, certificate_value=cert.value,
+            node_count=sol.node_count, wall=time.monotonic() - start,
         ))
         if _relative_gap(ub, lb) <= gap_eps:
             termination = TERM_GAP

@@ -69,8 +69,7 @@ def test_solve_matches_brute_force(tmp_path):
     bf_header, bf_rows = read_table(bf_dir / "brute_force.csv")
     assert res_header["feasible"] == "True"
     assert res_header["termination"] == "upper_infeasible"
-    assert float(res_header["j_hat"]) == pytest.approx(
-        float(bf_header["j_star"]), rel=1e-9)
+    assert float(res_header["j_hat"]) == float(bf_header["j_star"])
     assert [r["u"] for r in res_rows] == [r["u"] for r in bf_rows]
 
     with open(DESK) as fh:
@@ -146,6 +145,28 @@ def test_malformed_json_is_config_error(tmp_path):
     rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path),
                "--speeds", "0.4,0.8"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epsilon", math.nan),
+    ("epsilon", math.inf),
+    ("L_km", math.nan),
+    ("eta_bar", math.nan),
+    ("disturbance", {"rho0": math.nan, "omega": 0.0}),
+    ("epsilon", 10 ** 400),
+    ("disturbance", {"rho0": {"lo": [1], "hi": 2}, "omega": 0.0}),
+])
+def test_bad_config_number_is_config_error(tmp_path, capsys, key, value):
+    with open(DESK) as fh:
+        cfg = json.load(fh)
+    cfg[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["certify", "--scenario", str(bad), "--out", str(tmp_path),
+               "--count", "2", "--speeds", "0.4,0.8"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "certificate.csv").exists()
 
 
 def test_off_menu_speed_is_config_error(tmp_path):

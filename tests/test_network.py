@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -168,7 +170,6 @@ def test_loader_accepts_highway_config():
     assert sc.h == pytest.approx(1.0 / 240.0, rel=1e-12)
     assert sc.jam_margin == DEFAULT_JAM_MARGIN == 1.0
     assert sc.epsilon == DEFAULT_RADIUS == 1000.0
-    assert sc.beta == 0.95
     assert [len(b) for b in sc.bands] == [5, 5, 5, 3, 5]
     assert sc.bands[3] == (40.0, 60.0, 80.0)
 
@@ -191,6 +192,19 @@ def test_loader_reports_bad_segment_field():
     cfg = vi_scenario_dict()
     cfg["segments"][2]["rho_bar"] = "high"
     with pytest.raises(ConfigError, match=r"segments\[2\]"):
+        load_scenario(cfg)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("path", ["epsilon", "L_km", "eta_bar", "pi",
+                                  "segments[3].rho_U", "gamma[4]"])
+def test_loader_rejects_non_finite_numbers(path, value):
+    cfg = vi_scenario_dict()
+    nested = {"segments[3].rho_U": (cfg["segments"][3], "rho_U"),
+              "gamma[4]": (cfg["gamma"], 4)}
+    target, key = nested.get(path, (cfg, path))
+    target[key] = value
+    with pytest.raises(ConfigError, match=re.escape(path)):
         load_scenario(cfg)
 
 

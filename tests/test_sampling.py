@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -13,9 +16,26 @@ from vslcert.sampling import (
     propagate,
     propagate_batch,
     read_samples,
-    recursion_residual,
     write_samples,
 )
+
+
+def recursion_residual(scenario, batch, samples):
+    """Largest relative defect of the recursion across a batch."""
+    u = np.array(batch.u)
+    h = scenario.h
+    worst = 0.0
+    for l, sample in enumerate(samples.samples):
+        prev = sample.rho0
+        for t in range(scenario.T):
+            flow = u * prev
+            inflow = np.concatenate(([0.0], flow[:-1]))
+            expect = prev + h * (inflow - flow + sample.omega[:, t])
+            got = batch.rho[l, :, t]
+            scale = max(1.0, float(np.abs(expect).max()))
+            worst = max(worst, float(np.abs(got - expect).max()) / scale)
+            prev = got
+    return worst
 
 
 def single_edge(T=6, u=0.5):
@@ -156,6 +176,18 @@ def test_load_generator_errors():
         load_generator({"disturbance": {"rho0": [1, 2, 3], "omega": 0}}, 2)
     with pytest.raises(ConfigError):
         load_generator({"disturbance": {"rho0": {"lo": 1}, "omega": 0}}, 2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("key, build, path", [
+    ("rho0", lambda v: v, "disturbance.rho0"),
+    ("rho0", lambda v: {"lo": 0.0, "hi": v}, "disturbance.rho0"),
+    ("omega", lambda v: [0.0, {"lo": v, "hi": 1.0}], "disturbance.omega[1]"),
+], ids=["scalar", "pair", "per-edge"])
+def test_load_generator_rejects_non_finite_bounds(key, build, path, value):
+    section = {"rho0": 1.0, "omega": 0.0, key: build(value)}
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_generator({"disturbance": section}, 2)
 
 
 def test_batch_matches_per_sample_propagation():

@@ -70,7 +70,7 @@ def test_bound_monotonicity_and_sandwich():
         for r in report.iterations:
             assert r.ub >= r.lb - 1e-9
             # upper solves dominate every exact candidate value
-            assert r.ub >= r.objective - 1e-9
+            assert r.ub >= r.certificate_value - 1e-9
 
 
 def test_no_assignment_repeats():
@@ -78,16 +78,6 @@ def test_no_assignment_repeats():
     report = run_search(problem)
     seen = [r.assignment for r in report.iterations]
     assert len(seen) == len(set(seen))
-
-
-def test_lower_objective_equals_certificate():
-    problem = build_problem(17, n=2, T=3, menu_size=2)
-    report = run_search(problem)
-    for r in report.iterations:
-        if math.isfinite(r.objective):
-            assert r.objective == pytest.approx(r.certificate_value, rel=1e-6)
-        else:
-            assert r.certificate_value == -math.inf
 
 
 def test_all_sentinel_search_is_infeasible():
@@ -100,7 +90,7 @@ def test_all_sentinel_search_is_infeasible():
     assert not report.feasible
     assert report.best_u is None
     assert report.best_value == -math.inf
-    assert all(r.objective == -math.inf for r in report.iterations)
+    assert all(r.certificate_value == -math.inf for r in report.iterations)
 
 
 def test_gap_termination_reports_closed_gap():
@@ -137,6 +127,5 @@ def test_report_certificate_matches_best():
     report = run_search(problem)
     assert report.feasible
     assert report.certificate is not None
-    assert report.certificate.value == pytest.approx(report.best_value,
-                                                     rel=1e-9)
+    assert report.best_value == report.certificate.value
     assert report.wall >= 0.0
