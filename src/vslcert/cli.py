@@ -24,13 +24,7 @@ from .certificate import certificate
 from .errors import ConfigError, InfeasibleScenarioError, NumericalError
 from .linearize import SearchProblem
 from .network import load_scenario
-from .sampling import (
-    generate_samples,
-    load_generator,
-    propagate_batch,
-    read_samples,
-    write_trajectories,
-)
+from .sampling import generate_samples, load_generator, propagate_batch, read_samples
 from .search import DEFAULT_GAP_EPS, run_search
 from .validation import ValidationConfig, brute_force_optimum, validate
 
@@ -101,11 +95,19 @@ def cmd_simulate(args) -> int:
     samples, source = _load_samples(args, cfg, scenario)
     profile = _profile(args, scenario)
     batch = propagate_batch(scenario, profile, samples)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    header = {"command": "simulate", "u": _speeds_header(profile), **source}
-    write_trajectories(batch, out / "trajectories.csv", header=header)
-    print(out / "trajectories.csv")
+    count, n, T = batch.rho.shape
+    path = _write_csv(
+        Path(args.out) / "trajectories.csv",
+        {"command": "simulate", "u": _speeds_header(profile), **source},
+        ["l", "e", "t", "rho"],
+        (
+            (l + 1, e + 1, t + 1, float(batch.rho[l, e, t]))
+            for l in range(count)
+            for e in range(n)
+            for t in range(T)
+        ),
+    )
+    print(path)
     return EXIT_OK
 
 
@@ -140,7 +142,7 @@ def cmd_solve(args) -> int:
     header = {
         "command": "solve",
         **source,
-        "epsilon": problem.epsilon,
+        "epsilon": scenario.epsilon,
         "gap_eps": args.gap,
         "time_limit": args.time_limit if args.time_limit is not None else "none",
         "termination": report.termination,

@@ -5,9 +5,11 @@ profile a decision: each edge picks one entry of the speed menu through
 binary indicators, trajectory and dual bilinearities are linearized
 exactly with Glover rows, and the objective's price-times-density
 products are relaxed with McCormick envelopes, so its optimum upper
-bounds the best certificate over all admissible profiles. The lower
-model fixes a profile and evaluates the certificate exactly as a linear
-program; its value matches the closed-form certificate scan.
+bounds the best certificate over all admissible profiles. The search
+builds it once and appends one no-good row per visited assignment
+(:func:`exclude`). The lower model fixes a profile and evaluates the
+certificate exactly as a linear program; its value matches the
+closed-form certificate scan.
 
 Indexing convention: trajectory-indexed quantities (densities, dual
 multipliers) live on steps t = 1..T and are stored 0-based; flow
@@ -17,60 +19,29 @@ products y live on steps t = 0..T-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .lpsolve import LpModel, LpSolution, MilpModel, ModelBuilder, solve_lp
+from .lpsolve import LpModel, LpSolution, ModelBuilder, solve_milp
 from .network import HighwayScenario, SpeedProfile, critical_density, eta_coefficient
 from .sampling import SampleSet, TrajectoryBatch, propagate_batch
 
 
 @dataclass(frozen=True)
 class SearchProblem:
-    """Scenario, training samples, and ambiguity radius for one search."""
+    """Scenario and training samples for one search; the ambiguity radius
+    is the scenario's ``epsilon``."""
 
     scenario: HighwayScenario
     samples: SampleSet
-    epsilon: float | None = None
 
     def __post_init__(self):
         if self.samples.n != self.scenario.n:
             raise ValueError("sample edge count does not match scenario")
         if self.samples.horizon != self.scenario.T:
             raise ValueError("sample horizon does not match scenario")
-        if self.epsilon is None:
-            object.__setattr__(self, "epsilon", self.scenario.epsilon)
-        if self.epsilon < 0:
-            raise ValueError("ambiguity radius must be nonnegative")
-
-
-class CutPool:
-    """Visited speed assignments, one exclusion cut each.
-
-    An assignment is the per-edge tuple of chosen menu indices. Adding a
-    duplicate raises: the cuts are meant to make revisits impossible, so
-    a repeat signals a broken search loop.
-    """
-
-    def __init__(self):
-        self._visited: list[tuple[int, ...]] = []
-
-    def __len__(self) -> int:
-        return len(self._visited)
-
-    def __iter__(self):
-        return iter(self._visited)
-
-    def __contains__(self, assignment) -> bool:
-        return tuple(assignment) in self._visited
-
-    def add(self, assignment) -> None:
-        key = tuple(int(i) for i in assignment)
-        if key in self._visited:
-            raise ValueError(f"assignment {key} already visited")
-        self._visited.append(key)
 
 
 def glover_rows(mb: ModelBuilder, x: int, g_cols, g_coefs,
@@ -106,7 +77,7 @@ class UpperModel:
     """Built upper-bound MILP plus the variable index maps tests need."""
 
     problem: SearchProblem
-    model: MilpModel
+    model: LpModel
     x_index: np.ndarray  # (n, m)
     lam_index: int
     rho_index: np.ndarray  # (N, n, T), step t stored at t-1
@@ -143,8 +114,8 @@ def _menu_mask(scenario: HighwayScenario) -> np.ndarray:
     return mask
 
 
-def build_upper(problem: SearchProblem, cuts: CutPool | None = None) -> UpperModel:
-    """Assemble the profile-search MILP with all prior exclusion cuts."""
+def build_upper(problem: SearchProblem) -> UpperModel:
+    """Assemble the profile-search MILP, before any exclusion cut."""
     sc = problem.scenario
     n, T, m = sc.n, sc.T, len(sc.gamma)
     N = problem.samples.count
@@ -158,7 +129,7 @@ def build_upper(problem: SearchProblem, cuts: CutPool | None = None) -> UpperMod
     for e in range(n):
         for i in range(m):
             x[e, i] = mb.add_var(0.0, 1.0 if mask[e, i] else 0.0, binary=True)
-    lam = mb.add_var(0.0, math.inf, obj=-problem.epsilon)
+    lam = mb.add_var(0.0, math.inf, obj=-sc.epsilon)
 
     rho = np.empty((N, n, T), dtype=int)
     y = np.empty((N, n, m, T), dtype=int)
@@ -239,18 +210,25 @@ def build_upper(problem: SearchProblem, cuts: CutPool | None = None) -> UpperMod
                 mb.add_row([s[l, e, t], rho[l, e, t]], [1.0, -nu_cap],
                            "<=", 0.0, block="mccormick")
 
-    if cuts is not None:
-        flat = [(e, i) for e in range(n) for i in range(m)]
-        for visited in cuts:
-            active = set(enumerate(visited))
-            cols = [int(x[e, i]) for e, i in flat]
-            coefs = [1.0 if (e, i) in active else -1.0 for e, i in flat]
-            mb.add_row(cols, coefs, "<=", n - 1.0, block="cut")
-
     model = mb.build()
     return UpperModel(problem=problem, model=model, x_index=x, lam_index=lam,
                       rho_index=rho, y_index=y, z_index=z, eta_index=eta,
                       mu_index=mu, nu_index=nu, s_index=s)
+
+
+def exclude(upper: UpperModel, assignment) -> None:
+    """Append the no-good row that cuts off one speed assignment, in place.
+
+    An assignment is the per-edge tuple of chosen menu indices. The row
+    sum(x chosen) - sum(x other) <= n - 1 is violated by that assignment
+    alone (Balas & Jeroslow 1972).
+    """
+    x = upper.x_index
+    n = x.shape[0]
+    chosen = np.zeros(x.shape, dtype=bool)
+    chosen[np.arange(n), list(assignment)] = True
+    upper.model.add_row(x.ravel(), np.where(chosen.ravel(), 1.0, -1.0),
+                        "<=", n - 1.0, block="cut")
 
 
 def build_lower(problem: SearchProblem, profile: SpeedProfile,
@@ -271,7 +249,7 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
     active = [sc.gamma.index(profile.u[e]) for e in range(n)]
     mb = ModelBuilder()
 
-    lam = mb.add_var(0.0, math.inf, obj=-problem.epsilon)
+    lam = mb.add_var(0.0, math.inf, obj=-sc.epsilon)
     eta = np.empty((N, n, T), dtype=int)
     mu = np.empty((N, n, T), dtype=int)
     nu = np.empty((N, n, T), dtype=int)
@@ -325,7 +303,7 @@ def decode_profile(upper: UpperModel, solution: LpSolution) -> SpeedProfile:
 
 
 def assignment_of(upper: UpperModel, solution: LpSolution) -> tuple[int, ...]:
-    """Menu-index tuple of the incumbent, for the cut pool."""
+    """Menu-index tuple of the incumbent, for its exclusion cut."""
     vals = solution.x[upper.x_index]
     return tuple(int(i) for i in np.argmax(vals, axis=1))
 
@@ -366,7 +344,7 @@ def box_support_lp(scenario: HighwayScenario, profile: SpeedProfile,
         for t in range(T):
             v = mb.add_var(0.0, math.inf, obj=-cost)
             mb.add_row([v], [k], ">=", mu[e, t], block="dual_feas")
-    sol = solve_lp(mb.build())
+    sol = solve_milp(mb.build())
     if sol.status != "optimal":
         raise NumericalError(f"support LP ended {sol.status}")
     return -sol.objective

@@ -2,8 +2,9 @@
 
 Models are assembled as sparse triplets through :class:`ModelBuilder`,
 scaled row-wise into a numerically friendly coefficient range, and solved
-with HiGHS via :mod:`scipy.optimize` (``linprog`` for LPs, ``milp`` for
-mixed-binary models). The objective sense is always maximize.
+with HiGHS through one call, :func:`scipy.optimize.milp`: a model whose
+binary mask is all false is a plain LP. The objective sense is always
+maximize.
 
 Solves are deterministic for a fixed model: HiGHS runs single-threaded
 with a fixed pivot and branching order here, so repeated calls return
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import NumericalError
 
@@ -25,7 +26,6 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 TIME_LIMIT = "time_limit"
-NUMERICAL = "numerical_failure"
 
 SENSES = ("<=", ">=", "=")
 
@@ -34,17 +34,51 @@ _SCALE_HI = 1e3
 _SCALE_LO = 1e-3
 
 
+def _check_row(cols, coefs, sense: str, rhs: float, nvars: int):
+    """Validated (cols, coefs) lists of one row over nvars columns."""
+    if sense not in SENSES:
+        raise ValueError(f"sense must be one of {SENSES}")
+    cols = list(cols)
+    coefs = [float(c) for c in coefs]
+    if len(cols) != len(coefs):
+        raise ValueError("cols and coefs length mismatch")
+    if any(not (0 <= c < nvars) for c in cols):
+        raise ValueError("column index out of range")
+    if not all(math.isfinite(c) for c in coefs) or not math.isfinite(rhs):
+        raise ValueError("constraint coefficients must be finite")
+    return cols, coefs
+
+
+def _row_scale(coefs) -> float:
+    """Power of two that brings the row's largest coefficient into band."""
+    top = max((abs(c) for c in coefs), default=0.0)
+    if top > _SCALE_HI:
+        return 2.0 ** -math.ceil(math.log2(top / _SCALE_HI))
+    if 0 < top < _SCALE_LO:
+        return 2.0 ** math.ceil(math.log2(_SCALE_LO / top))
+    return 1.0
+
+
+def _row_bounds(sense, rhs):
+    """(lo, hi) of lo <= a.x <= hi for sense and right-hand side arrays."""
+    lo = np.where(sense == "<=", -math.inf, rhs)
+    hi = np.where(sense == ">=", math.inf, rhs)
+    return lo, hi
+
+
 @dataclass
 class LpModel:
-    """Sparse constraint system with bounds and a maximize objective."""
+    """Sparse system lo <= A x <= hi with variable bounds, a maximize
+    objective and a binary mask over variables (all false for an LP)."""
 
     nvars: int
     lb: np.ndarray
     ub: np.ndarray
     obj: np.ndarray
     A: sp.csr_matrix
-    sense: list[str]
-    rhs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    binary: np.ndarray
     row_scale: np.ndarray
     block_rows: dict[str, int] = field(default_factory=dict)
 
@@ -52,10 +86,21 @@ class LpModel:
     def nrows(self) -> int:
         return self.A.shape[0]
 
-
-@dataclass
-class MilpModel(LpModel):
-    binary: np.ndarray = None  # bool mask over variables
+    def add_row(self, cols, coefs, sense: str, rhs: float, block: str = "other") -> int:
+        """Append one row in place, checked, scaled and bounded as the
+        default :meth:`ModelBuilder.build` does."""
+        cols, coefs = _check_row(cols, coefs, sense, rhs, self.nvars)
+        scale = _row_scale(coefs)
+        row = sp.csr_matrix((np.multiply(coefs, scale), cols, [0, len(cols)]),
+                            shape=(1, self.nvars))
+        row.sum_duplicates()
+        self.A = sp.vstack([self.A, row], format="csr")
+        lo, hi = _row_bounds(np.array([sense]), np.array([rhs * scale]))
+        self.lo = np.append(self.lo, lo)
+        self.hi = np.append(self.hi, hi)
+        self.row_scale = np.append(self.row_scale, scale)
+        self.block_rows[block] = self.block_rows.get(block, 0) + 1
+        return self.nrows - 1
 
 
 @dataclass
@@ -65,11 +110,10 @@ class LpSolution:
     x: np.ndarray | None
     bound: float | None = None
     node_count: int | None = None
-    gap: float | None = None
 
 
 class ModelBuilder:
-    """Incremental triplet-based assembly of an LpModel or MilpModel."""
+    """Incremental triplet-based assembly of an LpModel."""
 
     def __init__(self):
         self._lb: list[float] = []
@@ -98,16 +142,7 @@ class ModelBuilder:
         return len(self._lb) - 1
 
     def add_row(self, cols, coefs, sense: str, rhs: float, block: str = "other") -> int:
-        if sense not in SENSES:
-            raise ValueError(f"sense must be one of {SENSES}")
-        cols = list(cols)
-        coefs = [float(c) for c in coefs]
-        if len(cols) != len(coefs):
-            raise ValueError("cols and coefs length mismatch")
-        if any(not (0 <= c < self.nvars) for c in cols):
-            raise ValueError("column index out of range")
-        if not all(math.isfinite(c) for c in coefs) or not math.isfinite(rhs):
-            raise ValueError("constraint coefficients must be finite")
+        cols, coefs = _check_row(cols, coefs, sense, rhs, self.nvars)
         self._rows_cols.append(cols)
         self._rows_coefs.append(coefs)
         self._sense.append(sense)
@@ -122,117 +157,46 @@ class ModelBuilder:
         indices: list[int] = []
         indptr = [0]
         scales = np.ones(m)
-        rhs = np.array(self._rhs)
         for i in range(m):
             cols, coefs = self._rows_cols[i], self._rows_coefs[i]
-            if scale and coefs:
-                top = max(abs(c) for c in coefs)
-                if top > _SCALE_HI:
-                    scales[i] = 2.0 ** -math.ceil(math.log2(top / _SCALE_HI))
-                elif 0 < top < _SCALE_LO:
-                    scales[i] = 2.0 ** math.ceil(math.log2(_SCALE_LO / top))
+            if scale:
+                scales[i] = _row_scale(coefs)
             data.extend(c * scales[i] for c in coefs)
             indices.extend(cols)
             indptr.append(len(indices))
-        rhs = rhs * scales
         A = sp.csr_matrix((data, indices, indptr), shape=(m, n))
         A.sum_duplicates()
+        lo, hi = _row_bounds(np.array(self._sense), np.array(self._rhs) * scales)
         blocks: dict[str, int] = {}
         for b in self._blocks:
             blocks[b] = blocks.get(b, 0) + 1
-        kwargs = dict(
+        return LpModel(
             nvars=n,
             lb=np.array(self._lb),
             ub=np.array(self._ub),
             obj=np.array(self._obj),
             A=A,
-            sense=list(self._sense),
-            rhs=rhs,
+            lo=lo,
+            hi=hi,
+            binary=np.array(self._binary, dtype=bool),
             row_scale=scales,
             block_rows=blocks,
         )
-        if any(self._binary):
-            return MilpModel(binary=np.array(self._binary), **kwargs)
-        return LpModel(**kwargs)
 
 
-def _split_rows(model: LpModel):
-    """Return (A_ub, b_ub, A_eq, b_eq) with >= rows negated into <=."""
-    sense = np.array(model.sense)
-    le = sense == "<="
-    ge = sense == ">="
-    eq = sense == "="
-    A_ub = b_ub = A_eq = b_eq = None
-    parts = []
-    rhs_parts = []
-    if le.any():
-        parts.append(model.A[le])
-        rhs_parts.append(model.rhs[le])
-    if ge.any():
-        parts.append(-model.A[ge])
-        rhs_parts.append(-model.rhs[ge])
-    if parts:
-        A_ub = sp.vstack(parts, format="csr")
-        b_ub = np.concatenate(rhs_parts)
-    if eq.any():
-        A_eq = model.A[eq]
-        b_eq = model.rhs[eq]
-    return A_ub, b_ub, A_eq, b_eq
-
-
-def solve_lp(model: LpModel) -> LpSolution:
-    """Solve a maximize LP; statuses: optimal, infeasible, unbounded,
-    numerical_failure."""
-    A_ub, b_ub, A_eq, b_eq = _split_rows(model)
-    bounds = list(zip(model.lb, model.ub))
-    res = linprog(
-        -model.obj,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=bounds,
-        method="highs",
-    )
-    if res.status == 0:
-        x = np.asarray(res.x)
-        return LpSolution(status=OPTIMAL, objective=float(model.obj @ x), x=x)
-    if res.status == 2:
-        return LpSolution(status=INFEASIBLE, objective=-math.inf, x=None)
-    if res.status == 3:
-        return LpSolution(status=UNBOUNDED, objective=math.inf, x=None)
-    message = (res.message or "").lower()
-    if "unbounded" in message:
-        return LpSolution(status=UNBOUNDED, objective=math.inf, x=None)
-    if "infeasible" in message:
-        return LpSolution(status=INFEASIBLE, objective=-math.inf, x=None)
-    return LpSolution(status=NUMERICAL, objective=math.nan, x=None)
-
-
-def solve_milp(
-    model: MilpModel, gap_tol: float = 1e-6, time_limit: float | None = None
-) -> LpSolution:
-    """Branch-and-bound solve of a maximize mixed-binary model.
+def solve_milp(model: LpModel, time_limit: float | None = None) -> LpSolution:
+    """Solve a maximize model with HiGHS; branch and bound over its binaries.
 
     Returns the incumbent plus the best proven bound. Hitting the time
     limit is reported via ``status`` with whatever incumbent exists;
-    infeasibility is propagated as its own status.
+    infeasibility and unboundedness are reported as their own statuses.
     """
-    lo = np.empty(model.nrows)
-    hi = np.empty(model.nrows)
-    for i, s in enumerate(model.sense):
-        if s == "<=":
-            lo[i], hi[i] = -math.inf, model.rhs[i]
-        elif s == ">=":
-            lo[i], hi[i] = model.rhs[i], math.inf
-        else:
-            lo[i] = hi[i] = model.rhs[i]
-    options = {"mip_rel_gap": float(gap_tol), "presolve": True}
+    options = {"mip_rel_gap": 1e-6, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     res = milp(
         -model.obj,
-        constraints=LinearConstraint(model.A, lo, hi),
+        constraints=LinearConstraint(model.A, model.lo, model.hi),
         integrality=model.binary.astype(int),
         bounds=Bounds(model.lb, model.ub),
         options=options,
@@ -240,7 +204,6 @@ def solve_milp(
     node_count = getattr(res, "mip_node_count", None)
     dual_bound = getattr(res, "mip_dual_bound", None)
     bound = -float(dual_bound) if dual_bound is not None else None
-    gap = getattr(res, "mip_gap", None)
     if res.status == 0:
         x = np.asarray(res.x)
         value = float(model.obj @ x)
@@ -248,17 +211,17 @@ def solve_milp(
             bound = value
         return LpSolution(
             status=OPTIMAL, objective=value, x=x,
-            bound=max(bound, value), node_count=node_count, gap=gap,
+            bound=max(bound, value), node_count=node_count,
         )
     if res.status == 1:
         x = np.asarray(res.x) if res.x is not None else None
         value = float(model.obj @ x) if x is not None else -math.inf
         return LpSolution(
             status=TIME_LIMIT, objective=value, x=x,
-            bound=bound, node_count=node_count, gap=gap,
+            bound=bound, node_count=node_count,
         )
     if res.status == 2:
         return LpSolution(status=INFEASIBLE, objective=-math.inf, x=None)
     if res.status == 3:
         return LpSolution(status=UNBOUNDED, objective=math.inf, x=None)
-    raise NumericalError(f"mixed-binary solve failed: {res.message}")
+    raise NumericalError(f"HiGHS solve failed: {res.message}")

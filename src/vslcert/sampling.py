@@ -279,26 +279,3 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
                 )
         samples.append(DisturbanceSample(rho0, omega))
     return SampleSet(tuple(samples), provenance=str(prefix))
-
-
-def write_trajectories(batch: TrajectoryBatch, path: str | Path, header="") -> Path:
-    """Write trajectories as CSV rows (l, e, t, rho); t runs from 1.
-
-    header may be a plain string (one comment line) or a mapping, written
-    as one "# key=value" comment line per entry.
-    """
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        if isinstance(header, dict):
-            for key, value in header.items():
-                fh.write(f"# {key}={value}\n")
-        elif header:
-            fh.write(f"# {header}\n")
-        w = csv.writer(fh)
-        w.writerow(["l", "e", "t", "rho"])
-        count, n, T = batch.rho.shape
-        for l in range(count):
-            for e in range(n):
-                for t in range(T):
-                    w.writerow([l + 1, e + 1, t + 1, repr(float(batch.rho[l, e, t]))])
-    return path

@@ -1,12 +1,13 @@
 """Iterative certified search over admissible speed profiles.
 
-Each round solves the mixed-binary upper model (with all prior exclusion
-cuts) for a candidate profile, evaluates that candidate exactly with the
-closed-form certificate, and tightens the running upper and lower
-bounds. The loop stops when the relative gap closes, when the cuts make
-the upper model infeasible (every assignment visited), or when a
-wall-clock budget runs out after at least one candidate with a finite
-value has been found.
+The mixed-binary upper model is built once. Each round solves it for a
+candidate profile, evaluates that candidate exactly with the closed-form
+certificate, tightens the running upper and lower bounds, and appends
+the candidate's exclusion cut to the model. The loop stops when the
+relative gap closes, when the cuts make the upper model infeasible
+(every assignment visited), or when a wall-clock budget, which also
+covers the model build, runs out after at least one candidate with a
+finite value has been found.
 A budget alone never stops the search while every visited candidate is
 worthless: the loop keeps going until the first finite value appears.
 """
@@ -22,15 +23,16 @@ from .certificate import certificate
 from .errors import NumericalError
 # build_lower, solve_lp: unused, kept for perfbench/tracer.py TARGETS.
 from .linearize import (
-    CutPool,
     SearchProblem,
     assignment_of,
     build_lower,
     build_upper,
     decode_profile,
     eta_saturation,
+    exclude,
 )
-from .lpsolve import INFEASIBLE, OPTIMAL, TIME_LIMIT, solve_lp, solve_milp
+from .lpsolve import INFEASIBLE, OPTIMAL, TIME_LIMIT, solve_milp
+from .lpsolve import solve_milp as solve_lp
 from .sampling import propagate_batch
 
 TERM_GAP = "gap"
@@ -83,7 +85,8 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
         raise ValueError("gap_eps must be positive")
     scenario = problem.scenario
     start = time.monotonic()
-    cuts = CutPool()
+    upper = build_upper(problem)
+    visited: set[tuple[int, ...]] = set()
     records: list[IterationRecord] = []
     ub = math.inf
     lb = -math.inf
@@ -110,7 +113,6 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
         budget = None
         if time_limit is not None:
             budget = max(time_limit - elapsed, 0.01)
-        upper = build_upper(problem, cuts)
         sol = solve_milp(upper.model, time_limit=budget)
         if sol.status == TIME_LIMIT and sol.x is None:
             if math.isfinite(lb):
@@ -135,9 +137,6 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
         bound = sol.objective if sol.status == OPTIMAL else sol.bound
         if bound is not None and not math.isnan(bound):
             ub = min(ub, bound)
-        if sol.x is None:
-            termination = TERM_TIME
-            break
         hits = eta_saturation(upper, sol)
         if hits:
             warnings.warn(
@@ -147,15 +146,16 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
             )
         profile = decode_profile(upper, sol)
         assignment = assignment_of(upper, sol)
-        try:
-            cuts.add(assignment)
-        except ValueError as exc:
+        if assignment in visited:
             raise NumericalError(
-                f"candidate repeated at round {k}: {exc}",
+                f"candidate repeated at round {k}: assignment {assignment} "
+                "already visited",
                 report=report("aborted"),
-            ) from None
+            )
+        visited.add(assignment)
+        exclude(upper, assignment)
         batch = propagate_batch(scenario, profile, problem.samples)
-        cert = certificate(scenario, profile, batch, epsilon=problem.epsilon)
+        cert = certificate(scenario, profile, batch)
         if cert.value > lb:
             lb = cert.value
             best_u = profile.u
@@ -169,10 +169,6 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
         ))
         if _relative_gap(ub, lb) <= gap_eps:
             termination = TERM_GAP
-            break
-        if (time_limit is not None and math.isfinite(lb)
-                and time.monotonic() - start >= time_limit):
-            termination = TERM_TIME
             break
 
     return report(termination)

@@ -39,7 +39,6 @@ DEFAULT_ENUM_CAP = 100_000
 
 
 def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet,
-                        epsilon: float | None = None,
                         cap: int = DEFAULT_ENUM_CAP):
     """Enumerate every admissible profile and return (best, value).
 
@@ -58,7 +57,7 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet,
     for combo in itertools.product(*scenario.bands):
         profile = scenario.speed_profile(combo)
         batch = propagate_batch(scenario, profile, samples)
-        result = certificate(scenario, profile, batch, epsilon=epsilon)
+        result = certificate(scenario, profile, batch)
         if result.finite and result.value > best_value:
             best_value = result.value
             best_u = profile
@@ -88,7 +87,7 @@ def simulate_ctm(scenario: HighwayScenario, u, sample: DisturbanceSample,
     if sample.omega.shape[1] < horizon:
         raise ValueError("sample horizon shorter than requested simulation")
     if u == UNCONTROLLED:
-        speeds = np.array([seg.u_bar for seg in scenario.segments])
+        speeds = np.array(scenario.uncontrolled_profile())
     else:
         speeds = np.asarray(u.as_array())
     f_U = np.array([seg.f_U for seg in scenario.segments])
@@ -165,9 +164,8 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
     total = 0.0
     density = np.zeros((scenario.n, horizon))
     for sample in fresh.samples:
-        short = DisturbanceSample(rho0=sample.rho0,
-                                  omega=sample.omega[:, :scenario.T])
-        traj = propagate(scenario, profile, short)
+        # propagate reads steps 0..T-1 only, so the longer draw serves as is.
+        traj = propagate(scenario, profile, sample)
         total += average_flow(profile, traj)
         density += simulate_ctm(scenario, profile, sample, horizon)
     mean_objective = total / cfg.n_val

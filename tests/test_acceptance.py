@@ -20,7 +20,7 @@ from vslcert.linearize import (
     box_support_lp,
     build_lower,
 )
-from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_lp
+from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_milp
 from vslcert.network import SegmentParams, admissible_speeds, critical_density
 from vslcert.sampling import generate_samples, propagate_batch
 from vslcert.search import TERM_EXHAUSTED, TERM_GAP, run_search
@@ -122,7 +122,7 @@ def test_lower_lp_matches_certificate():
         batch = propagate_batch(scenario, profile, samples)
         closed = certificate(scenario, profile, batch)
         problem = SearchProblem(scenario=scenario, samples=samples)
-        sol = solve_lp(build_lower(problem, profile, batch).model)
+        sol = solve_milp(build_lower(problem, profile, batch).model)
         if closed.finite:
             assert sol.status == OPTIMAL, sol.status
             rel = abs(sol.objective - closed.value) / max(1.0, abs(closed.value))

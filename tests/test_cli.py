@@ -33,6 +33,7 @@ def test_simulate_writes_parseable_trajectories(tmp_path):
                "--seed", "3", "--count", "2", "--speeds", "0.4,0.8"])
     assert rc == 0
     header, rows = read_table(tmp_path / "trajectories.csv")
+    assert b"\r" not in (tmp_path / "trajectories.csv").read_bytes()
     assert header["u"] == "0.4,0.8"
     assert len(rows) == 2 * 2 * 3
     for row in rows:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,6 @@ import desk
 from vslcert.certificate import STATUS_EMPTY, certificate
 from vslcert.errors import NumericalError
 from vslcert.linearize import (
-    CutPool,
     SearchProblem,
     assignment_of,
     box_support,
@@ -17,6 +17,7 @@ from vslcert.linearize import (
     build_upper,
     decode_profile,
     eta_saturation,
+    exclude,
     glover_rows,
     price_bound,
 )
@@ -26,7 +27,6 @@ from vslcert.lpsolve import (
     UNBOUNDED,
     LpSolution,
     ModelBuilder,
-    solve_lp,
     solve_milp,
 )
 from vslcert.sampling import propagate, propagate_batch
@@ -72,7 +72,7 @@ def test_glover_rows_enumerate_exact():
                 z = glover_rows(mb, x, [g], [1.0], 0.0, 5.0)
                 model = mb.build()
                 model.obj[z] = sense
-                sol = solve_lp(model)
+                sol = solve_milp(model)
                 assert sol.status == OPTIMAL
                 assert sol.x[z] == pytest.approx(x_val * g_val, abs=1e-9)
 
@@ -107,9 +107,8 @@ def test_upper_model_block_counts():
     problem = small_problem(7, n=2, T=3, menu_size=2, count=2)
     sc = problem.scenario
     n, T, m, N = sc.n, sc.T, len(sc.gamma), problem.samples.count
-    cuts = CutPool()
-    cuts.add((0, 0))
-    upper = build_upper(problem, cuts)
+    upper = build_upper(problem)
+    exclude(upper, (0, 0))
     rows = upper.model.block_rows
     assert rows["encoding"] == n
     assert rows["y0"] == N * n * m
@@ -125,29 +124,25 @@ def test_upper_model_block_counts():
     assert rows["cut"] == 1
 
 
-def test_cut_pool_rejects_revisit():
-    pool = CutPool()
-    pool.add((0, 1))
-    assert (0, 1) in pool
-    assert len(pool) == 1
-    with pytest.raises(ValueError):
-        pool.add((0, 1))
-
-
 def test_cut_excludes_exactly_its_assignment():
+    """Each exclusion cuts off its own assignment and no other one; once
+    every assignment is excluded, the model is infeasible."""
     problem = small_problem(11, n=2, T=2, menu_size=2)
     assignments = admissible_assignments(problem.scenario)
     if len(assignments) < 2:
         pytest.skip("band collapsed to one assignment")
-    banned, other = assignments[0], assignments[1]
-    cuts = CutPool()
-    cuts.add(banned)
-    upper = build_upper(problem, cuts)
-    fix_assignment(upper, banned)
-    assert solve_lp(upper.model).status == INFEASIBLE
-    upper2 = build_upper(problem, cuts)
-    fix_assignment(upper2, other)
-    assert solve_lp(upper2.model).status == OPTIMAL
+    upper = build_upper(problem)
+    free_lb, free_ub = upper.model.lb.copy(), upper.model.ub.copy()
+    for k, banned in enumerate(assignments):
+        exclude(upper, banned)
+        assert upper.model.block_rows["cut"] == k + 1
+        for j, fixed in enumerate(assignments):
+            fix_assignment(upper, fixed)
+            expect = INFEASIBLE if j <= k else OPTIMAL
+            assert solve_milp(upper.model).status == expect
+        upper.model.lb[:] = free_lb
+        upper.model.ub[:] = free_ub
+    assert solve_milp(upper.model).status == INFEASIBLE
 
 
 def test_fixed_assignment_reproduces_trajectories():
@@ -158,7 +153,7 @@ def test_fixed_assignment_reproduces_trajectories():
         assignment = admissible_assignments(sc)[0]
         upper = build_upper(problem)
         fix_assignment(upper, assignment)
-        sol = solve_lp(upper.model)
+        sol = solve_milp(upper.model)
         assert sol.status == OPTIMAL
         profile = sc.speed_profile([sc.gamma[i] for i in assignment])
         for l, sample in enumerate(problem.samples.samples):
@@ -215,7 +210,7 @@ def test_lower_model_matches_certificate():
         batch = propagate_batch(sc, profile, samples)
         ref = certificate(sc, profile, batch)
         lower = build_lower(problem, profile, batch)
-        sol = solve_lp(lower.model)
+        sol = solve_milp(lower.model)
         if ref.finite:
             assert sol.status == OPTIMAL
             assert sol.objective == pytest.approx(ref.value, rel=1e-6, abs=1e-9)
@@ -233,7 +228,7 @@ def test_lower_model_unbounded_on_empty_ambiguity():
     profile = sc.speed_profile([sc.gamma[i] for i in combo])
     batch = propagate_batch(sc, profile, samples)
     assert certificate(sc, profile, batch).status == STATUS_EMPTY
-    sol = solve_lp(build_lower(problem, profile, batch).model)
+    sol = solve_milp(build_lower(problem, profile, batch).model)
     assert sol.status == UNBOUNDED
 
 
@@ -302,10 +297,8 @@ def test_single_candidate_exhausts_after_one_cut():
     sol = solve_milp(upper.model)
     assert sol.status == OPTIMAL
     assignment = assignment_of(upper, sol)
-    cuts = CutPool()
-    cuts.add(assignment)
-    closed = build_upper(problem, cuts)
-    assert solve_milp(closed.model).status == INFEASIBLE
+    exclude(upper, assignment)
+    assert solve_milp(upper.model).status == INFEASIBLE
 
 
 def test_eta_saturation_reports_capped_entries():
@@ -324,7 +317,5 @@ def test_search_problem_validates_shapes():
     other = small_problem(97, n=1, T=2)
     with pytest.raises(ValueError):
         SearchProblem(problem.scenario, other.samples)
-    with pytest.raises(ValueError):
-        SearchProblem(problem.scenario, problem.samples, epsilon=-0.5)
-    defaulted = SearchProblem(problem.scenario, problem.samples)
-    assert defaulted.epsilon == problem.scenario.epsilon
+    with pytest.raises(ValueError, match="epsilon"):
+        dataclasses.replace(problem.scenario, epsilon=-0.5)

@@ -10,7 +10,6 @@ from vslcert.lpsolve import (
     TIME_LIMIT,
     UNBOUNDED,
     ModelBuilder,
-    solve_lp,
     solve_milp,
 )
 
@@ -18,14 +17,8 @@ from vslcert.lpsolve import (
 def max_residual(model, x):
     """Largest constraint or bound violation of x on the scaled rows."""
     ax = model.A @ x
-    worst = 0.0
-    for i, s in enumerate(model.sense):
-        if s == "<=":
-            worst = max(worst, float(ax[i] - model.rhs[i]))
-        elif s == ">=":
-            worst = max(worst, float(model.rhs[i] - ax[i]))
-        else:
-            worst = max(worst, abs(float(ax[i] - model.rhs[i])))
+    worst = float(np.max(ax - model.hi, initial=0.0))
+    worst = max(worst, float(np.max(model.lo - ax, initial=0.0)))
     worst = max(worst, float(np.max(model.lb - x, initial=0.0)))
     worst = max(worst, float(np.max(x - model.ub, initial=0.0)))
     return worst
@@ -36,7 +29,7 @@ def test_simple_lp_optimum():
     x1 = mb.add_var(obj=1.0)
     x2 = mb.add_var(obj=1.0)
     mb.add_row([x1, x2], [1.0, 1.0], "<=", 1.0)
-    sol = solve_lp(mb.build())
+    sol = solve_milp(mb.build())
     assert sol.status == OPTIMAL
     assert sol.objective == pytest.approx(1.0)
     assert sol.x[x1] + sol.x[x2] == pytest.approx(1.0)
@@ -47,7 +40,7 @@ def test_infeasible_lp():
     x = mb.add_var(obj=1.0)
     mb.add_row([x], [1.0], ">=", 1.0)
     mb.add_row([x], [1.0], "<=", 0.0)
-    sol = solve_lp(mb.build())
+    sol = solve_milp(mb.build())
     assert sol.status == INFEASIBLE
     assert sol.objective == -math.inf
 
@@ -56,7 +49,7 @@ def test_unbounded_lp():
     mb = ModelBuilder()
     x = mb.add_var(obj=1.0)
     mb.add_row([x], [1.0], ">=", 1.0)
-    sol = solve_lp(mb.build())
+    sol = solve_milp(mb.build())
     assert sol.status == UNBOUNDED
     assert sol.objective == math.inf
 
@@ -97,7 +90,7 @@ def test_strong_duality_on_a_fixed_pair():
     y = mb.add_var(obj=2.0)
     mb.add_row([x, y], [1.0, 1.0], "<=", 4.0)
     mb.add_row([x, y], [1.0, 3.0], "<=", 6.0)
-    primal = solve_lp(mb.build())
+    primal = solve_milp(mb.build())
     # dual: min 4a + 6b s.t. a + b >= 3, a + 3b >= 2, a, b >= 0
     # stated as max of the negative
     db = ModelBuilder()
@@ -105,7 +98,7 @@ def test_strong_duality_on_a_fixed_pair():
     b = db.add_var(obj=-6.0)
     db.add_row([a, b], [1.0, 1.0], ">=", 3.0)
     db.add_row([a, b], [1.0, 3.0], ">=", 2.0)
-    dual = solve_lp(db.build())
+    dual = solve_milp(db.build())
     assert primal.status == OPTIMAL and dual.status == OPTIMAL
     assert primal.objective == pytest.approx(-dual.objective, rel=1e-6)
 
@@ -121,12 +114,12 @@ def test_strong_duality_random_instances():
         xs = [mb.add_var(obj=float(ci)) for ci in c]
         for i in range(m):
             mb.add_row(xs, list(A[i]), "<=", float(b[i]))
-        primal = solve_lp(mb.build())
+        primal = solve_milp(mb.build())
         db = ModelBuilder()
         ys = [db.add_var(obj=float(-bi)) for bi in b]
         for j in range(n):
             db.add_row(ys, list(A[:, j]), ">=", float(c[j]))
-        dual = solve_lp(db.build())
+        dual = solve_milp(db.build())
         assert primal.status == OPTIMAL and dual.status == OPTIMAL
         assert primal.objective == pytest.approx(-dual.objective, rel=1e-6)
 
@@ -138,9 +131,9 @@ def test_added_constraint_never_improves():
         mb = ModelBuilder()
         xs = [mb.add_var(ub=5.0, obj=float(ci)) for ci in c]
         mb.add_row(xs, [1.0, 1.0, 1.0], "<=", 6.0)
-        base = solve_lp(mb.build()).objective
+        base = solve_milp(mb.build()).objective
         mb.add_row(xs[:2], [1.0, 2.0], "<=", float(rng.uniform(1.0, 4.0)))
-        tighter = solve_lp(mb.build()).objective
+        tighter = solve_milp(mb.build()).objective
         assert tighter <= base + 1e-9
 
 
@@ -177,11 +170,11 @@ def test_scaling_preserves_the_solution_set():
     mb = ModelBuilder()
     x = mb.add_var(obj=1.0)
     mb.add_row([x], [2.5e6], "<=", 5.0e6)
-    scaled = solve_lp(mb.build(scale=True))
+    scaled = solve_milp(mb.build(scale=True))
     mb2 = ModelBuilder()
     x2 = mb2.add_var(obj=1.0)
     mb2.add_row([x2], [2.5e6], "<=", 5.0e6)
-    raw = solve_lp(mb2.build(scale=False))
+    raw = solve_milp(mb2.build(scale=False))
     assert scaled.status == raw.status == OPTIMAL
     assert scaled.objective == pytest.approx(raw.objective, rel=1e-9)
     assert scaled.objective == pytest.approx(2.0)
@@ -196,7 +189,7 @@ def test_residuals_small_at_optimum():
         mb.add_row(cols, list(rng.uniform(0.1, 3, size=4)), "<=",
                    float(rng.uniform(5, 20)))
     model = mb.build()
-    sol = solve_lp(model)
+    sol = solve_milp(model)
     assert sol.status == OPTIMAL
     assert max_residual(model, sol.x) <= 1e-7
 

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import desk
-from vslcert.errors import InfeasibleScenarioError
-from vslcert.linearize import SearchProblem
+from vslcert.errors import InfeasibleScenarioError, NumericalError
+from vslcert.linearize import SearchProblem, assignment_of
 from vslcert.search import (
     TERM_EXHAUSTED,
     TERM_GAP,
@@ -49,8 +49,7 @@ def test_small_grid_matches_brute_force():
             continue
         found += 1
         report = run_search(problem)
-        u_star, j_star = brute_force_optimum(problem.scenario, problem.samples,
-                                             epsilon=problem.epsilon)
+        u_star, j_star = brute_force_optimum(problem.scenario, problem.samples)
         assert report.feasible
         assert report.best_value == pytest.approx(j_star, rel=1e-6)
         # near-ties may pick another profile; its exact value must still
@@ -78,6 +77,25 @@ def test_no_assignment_repeats():
     report = run_search(problem)
     seen = [r.assignment for r in report.iterations]
     assert len(seen) == len(set(seen))
+
+
+def test_repeated_candidate_raises(monkeypatch):
+    """A solver answer already visited aborts the search with its report."""
+    problem = build_problem(13, n=2, T=2, menu_size=2)
+    if assignment_count(problem.scenario) < 2:
+        pytest.skip("needs a second round")
+    first = []
+
+    def stuck(upper, solution):
+        first.append(assignment_of(upper, solution))
+        return first[0]
+
+    monkeypatch.setattr("vslcert.search.assignment_of", stuck)
+    with pytest.raises(NumericalError, match="already visited") as info:
+        run_search(problem, gap_eps=1e-12)
+    report = info.value.report
+    assert report.termination == "aborted"
+    assert [r.assignment for r in report.iterations] == [first[0]]
 
 
 def test_all_sentinel_search_is_infeasible():
