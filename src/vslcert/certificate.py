@@ -46,11 +46,12 @@ def flow_weights(scenario: HighwayScenario, profile: SpeedProfile) -> np.ndarray
     return profile.as_array() / scenario.T
 
 
-def average_flow(profile: SpeedProfile, traj: np.ndarray) -> float:
-    """Time-averaged total flow (veh/h) of one trajectory (n, T)."""
+def average_flow(profile: SpeedProfile, traj: np.ndarray):
+    """Time-averaged total flow (veh/h): a float for one trajectory (n, T),
+    an array (N,) with one value per draw for a stack (N, n, T)."""
     u = profile.as_array()
-    T = traj.shape[1]
-    return float((u @ traj).sum() / T)
+    flow = (u @ traj).sum(axis=-1) / traj.shape[-1]
+    return float(flow) if flow.ndim == 0 else flow
 
 
 def component_min(a: float, cap: float, r: float, lam: float) -> float:

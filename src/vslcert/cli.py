@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .certificate import certificate
 from .errors import ConfigError, InfeasibleScenarioError, NumericalError
 from .linearize import SearchProblem
@@ -95,17 +97,12 @@ def cmd_simulate(args) -> int:
     samples, source = _load_samples(args, cfg, scenario)
     profile = _profile(args, scenario)
     batch = propagate_batch(scenario, profile, samples)
-    count, n, T = batch.rho.shape
     path = _write_csv(
         Path(args.out) / "trajectories.csv",
         {"command": "simulate", "u": _speeds_header(profile), **source},
         ["l", "e", "t", "rho"],
-        (
-            (l + 1, e + 1, t + 1, float(batch.rho[l, e, t]))
-            for l in range(count)
-            for e in range(n)
-            for t in range(T)
-        ),
+        ((l + 1, e + 1, t + 1, float(v))
+         for (l, e, t), v in np.ndenumerate(batch.rho)),
     )
     print(path)
     return EXIT_OK
@@ -230,11 +227,8 @@ def cmd_validate(args) -> int:
         out / "density_mean.csv",
         header,
         ["l", "e", "t", "rho"],
-        (
-            (1, e + 1, t + 1, float(report.mean_density[e, t]))
-            for e in range(scenario.n)
-            for t in range(report.horizon)
-        ),
+        ((1, e + 1, t + 1, float(v))
+         for (e, t), v in np.ndenumerate(report.mean_density)),
     )
     print(path)
     return EXIT_OK

@@ -12,12 +12,15 @@ with ``s`` the upstream neighbour (the first edge has none, its only feed
 is ``omega_1``). The recursion is intentionally unclamped: it is affine in
 the disturbance, which the certificate machinery relies on, so physically
 impossible negative densities are passed through rather than projected.
+
+A ``SampleSet`` also keeps its draws stacked, so one time loop over the
+trailing (edge, time) axes propagates every draw at once.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,10 +59,12 @@ class DisturbanceSample:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An ordered collection of equally-shaped disturbance samples."""
+    """Equally-shaped disturbance samples in order, also stacked as
+    read-only ``rho0`` (N, n) and ``omega`` (N, n, T)."""
 
     samples: tuple[DisturbanceSample, ...]
-    provenance: str = ""
+    rho0: np.ndarray = field(init=False, repr=False, compare=False)
+    omega: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.samples:
@@ -68,6 +73,8 @@ class SampleSet:
         for s in self.samples:
             if s.rho0.shape[0] != n or s.omega.shape[1] != T:
                 raise ValueError("samples disagree on dimensions")
+        object.__setattr__(self, "rho0", _frozen([s.rho0 for s in self.samples]))
+        object.__setattr__(self, "omega", _frozen([s.omega for s in self.samples]))
 
     @property
     def count(self) -> int:
@@ -75,11 +82,11 @@ class SampleSet:
 
     @property
     def n(self) -> int:
-        return self.samples[0].rho0.shape[0]
+        return self.rho0.shape[1]
 
     @property
     def horizon(self) -> int:
-        return self.samples[0].omega.shape[1]
+        return self.omega.shape[2]
 
 
 @dataclass(frozen=True)
@@ -166,26 +173,30 @@ def generate_samples(
         omega = rng.uniform(np.broadcast_to(om_lo, (n, horizon)),
                             np.broadcast_to(om_hi, (n, horizon)))
         samples.append(DisturbanceSample(rho0, omega))
-    return SampleSet(tuple(samples), provenance=f"generator(seed={seed})")
+    return SampleSet(tuple(samples))
 
 
 def propagate(
-    scenario: HighwayScenario, profile: SpeedProfile, sample: DisturbanceSample
+    scenario: HighwayScenario, profile: SpeedProfile,
+    sample: DisturbanceSample | SampleSet,
 ) -> np.ndarray:
-    """Density trajectory (n, T) for slots t = 1..T under the recursion."""
-    n, T, h = scenario.n, scenario.T, scenario.h
-    if sample.rho0.shape[0] != n:
+    """Density trajectories for slots t = 1..T under the recursion: (n, T)
+    for one ``DisturbanceSample``, (N, n, T) for a ``SampleSet``. Only the
+    first T disturbance steps are read."""
+    T, h = scenario.T, scenario.h
+    if sample.rho0.shape[-1] != scenario.n:
         raise ValueError("sample edge count does not match the scenario")
-    if sample.omega.shape[1] < T:
+    if sample.omega.shape[-1] < T:
         raise ValueError("sample horizon is shorter than the scenario's T")
     u = profile.as_array()
-    rho = sample.rho0.copy()
-    out = np.empty((n, T))
+    rho = sample.rho0
+    out = np.empty(rho.shape + (T,))
+    inflow = np.zeros(rho.shape)
     for t in range(T):
         flow = u * rho
-        inflow = np.concatenate(([0.0], flow[:-1]))
-        rho = rho + h * (inflow - flow + sample.omega[:, t])
-        out[:, t] = rho
+        inflow[..., 1:] = flow[..., :-1]
+        rho = rho + h * (inflow - flow + sample.omega[..., t])
+        out[..., t] = rho
     return out
 
 
@@ -208,29 +219,26 @@ def propagate_batch(
     scenario: HighwayScenario, profile: SpeedProfile, samples: SampleSet
 ) -> TrajectoryBatch:
     """Propagate every sample; order preserving."""
-    rho = np.stack([propagate(scenario, profile, s) for s in samples.samples])
-    return TrajectoryBatch(rho=rho, u=profile.u)
+    return TrajectoryBatch(rho=propagate(scenario, profile, samples), u=profile.u)
 
 
 def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:
     """Write ``<prefix>_rho0.csv`` (l, e, rho0) and ``<prefix>_omega.csv``
-    (l, e, t, omega); indices are 1-based for l and e, 0-based for t."""
+    (l, e, t, omega); indices are 1-based for l and e, 0-based for t.
+    Lines end in LF, as in every CSV the commands write."""
     prefix = Path(prefix)
     rho0_path = prefix.with_name(prefix.name + "_rho0.csv")
     omega_path = prefix.with_name(prefix.name + "_omega.csv")
     with open(rho0_path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["l", "e", "rho0"])
-        for l, s in enumerate(samples.samples, start=1):
-            for e, v in enumerate(s.rho0, start=1):
-                w.writerow([l, e, repr(float(v))])
+        w.writerows([l + 1, e + 1, repr(float(v))]
+                    for (l, e), v in np.ndenumerate(samples.rho0))
     with open(omega_path, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["l", "e", "t", "omega"])
-        for l, s in enumerate(samples.samples, start=1):
-            for e in range(s.omega.shape[0]):
-                for t in range(s.omega.shape[1]):
-                    w.writerow([l, e + 1, t, repr(float(s.omega[e, t]))])
+        w.writerows([l + 1, e + 1, t, repr(float(v))]
+                    for (l, e, t), v in np.ndenumerate(samples.omega))
     return rho0_path, omega_path
 
 
@@ -278,4 +286,4 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
                     f"sample {l}: rho0 on edge {e + 1} outside [0, rho_bar]",
                 )
         samples.append(DisturbanceSample(rho0, omega))
-    return SampleSet(tuple(samples), provenance=str(prefix))
+    return SampleSet(tuple(samples))

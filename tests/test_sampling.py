@@ -209,6 +209,8 @@ def test_csv_round_trip_is_exact(tmp_path):
     rho0_path, omega_path = write_samples(samples, tmp_path / "s")
     assert rho0_path.name == "s_rho0.csv"
     assert omega_path.name == "s_omega.csv"
+    assert b"\r" not in rho0_path.read_bytes()
+    assert b"\r" not in omega_path.read_bytes()
     back = read_samples(tmp_path / "s", sc)
     assert back.count == 3
     for orig, loaded in zip(samples.samples, back.samples):
