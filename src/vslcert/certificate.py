@@ -87,9 +87,8 @@ def certificate(
     scenario: HighwayScenario,
     profile: SpeedProfile,
     batch: TrajectoryBatch,
-    epsilon: float | None = None,
 ) -> CertificateResult:
-    """Evaluate the certificate for a profile and its sample trajectories.
+    """Evaluate the certificate of a profile's trajectories at ``scenario.epsilon``.
 
     The scan covers every breakpoint of the dual objective. When the
     transport radius is too small to move all samples into the box (the
@@ -99,22 +98,19 @@ def certificate(
     """
     if batch.u != profile.u:
         raise ValueError("trajectory batch was generated under a different profile")
-    eps = scenario.epsilon if epsilon is None else float(epsilon)
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
     a = flow_weights(scenario, profile)
     caps = scenario.critical_densities(profile)
     r = np.asarray(batch.rho)
     if r.shape[1] != scenario.n or r.shape[2] != scenario.T:
         raise ValueError("trajectory batch dimensions do not match the scenario")
 
-    if eps < box_distance(scenario, profile, batch):
+    if scenario.epsilon < box_distance(scenario, profile, batch):
         return CertificateResult(
             value=-math.inf, lambda_star=math.inf, status=STATUS_EMPTY, table=()
         )
 
     lams = np.unique(np.concatenate(([0.0], a)))
-    totals = _scan_values(a, caps, r, lams) - lams * eps
+    totals = _scan_values(a, caps, r, lams) - lams * scenario.epsilon
     best = 0
     for i in range(1, len(lams)):
         if totals[i] > totals[best]:

@@ -15,8 +15,6 @@ scenario (or no feasible profile found), 4 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import numpy as np
 from .certificate import certificate
 from .errors import ConfigError, InfeasibleScenarioError, NumericalError
 from .linearize import SearchProblem
-from .network import load_scenario
+from .network import load_scenario, read_config
 from .sampling import generate_samples, load_generator, propagate_batch, read_samples
 from .search import DEFAULT_GAP_EPS, run_search
 from .validation import ValidationConfig, brute_force_optimum, validate
@@ -56,14 +54,7 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
 
 
 def _load_config(args):
-    path = Path(args.scenario)
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(str(path), f"cannot read scenario: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"not valid JSON: {exc}") from None
+    cfg = read_config(args.scenario)
     return cfg, load_scenario(cfg)
 
 
@@ -289,16 +280,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except InfeasibleScenarioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -155,15 +155,15 @@ def build_upper(problem: SearchProblem) -> UpperModel:
     for e in range(n):
         mb.add_row(list(x[e]), [1.0] * m, "=", 1.0, block="encoding")
 
+    rho0, omega = problem.samples.rho0, problem.samples.omega
     for l in range(N):
-        sample = problem.samples.samples[l]
         for e in range(n):
             seg = sc.segments[e]
             shock = seg.rho_bar - seg.f_bar / seg.u_bar
             nu_cap = price_bound(sc, e)
             for i in range(m):
                 mb.add_row([y[l, e, i, 0], x[e, i]],
-                           [1.0, -sample.rho0[e]], "=", 0.0, block="y0")
+                           [1.0, -rho0[l, e]], "=", 0.0, block="y0")
             for t in range(1, T):
                 for i in range(m):
                     glover_rows(mb, x[e, i], [rho[l, e, t - 1]], [1.0],
@@ -182,7 +182,7 @@ def build_upper(problem: SearchProblem) -> UpperModel:
                 if e >= 1:
                     cols.extend(y[l, e - 1, :, t])
                     coefs.extend(-h * g for g in gamma)
-                rhs = h * sample.omega[e, t] + (sample.rho0[e] if t == 0 else 0.0)
+                rhs = h * omega[l, e, t] + (rho0[l, e] if t == 0 else 0.0)
                 mb.add_row(cols, coefs, "=", rhs, block="dynamics")
                 for i in range(m):
                     glover_rows(mb, x[e, i], [eta[l, e, t]], [1.0],

@@ -33,6 +33,9 @@ from .errors import ConfigError, InfeasibleScenarioError
 
 DEFAULT_JAM_MARGIN = 1.0
 DEFAULT_RADIUS = 1000.0
+SCENARIO_KEYS = frozenset({"n", "L_km", "delta_s", "T", "gamma", "pi", "eta_bar",
+                           "epsilon", "beta", "segments", "disturbance"})
+SEGMENT_KEYS = frozenset({"f_bar", "rho_bar", "u_bar", "f_U", "rho_U"})
 
 
 @dataclass(frozen=True)
@@ -226,6 +229,23 @@ def config_number(value, path: str) -> float:
     raise ConfigError(path, "expected a finite number")
 
 
+def read_config(path: str | Path):
+    """Parse a JSON config file; ConfigError naming the file otherwise."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot read file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+
+
+def reject_unknown_keys(cfg: dict, known, path: str) -> None:
+    """ConfigError naming the first key of ``cfg`` not in ``known``."""
+    for key in cfg:
+        if key not in known:
+            raise ConfigError(f"{path}{key}", "unknown key")
+
+
 def _get(cfg: dict, key: str, kind, path: str, default=None, required=True):
     if key not in cfg:
         if required:
@@ -253,6 +273,7 @@ def load_scenario(source) -> HighwayScenario:
           "pi": 1.0,                # optional jam-density margin
           "eta_bar": 2.0e-3,        # optional dual-slack bound
           "epsilon": 1000.0,        # optional transport radius
+          "beta": 0.5,              # optional, ignored (a retired knob)
           "segments": [
             {"f_bar": 3.1e4, "rho_bar": 1050, "u_bar": 140,
              "f_U": 3.1e4, "rho_U": 1050},
@@ -262,19 +283,13 @@ def load_scenario(source) -> HighwayScenario:
         }
 
     ``f_U`` and ``rho_U`` default to the nominal ``f_bar`` / ``rho_bar``.
-    The first schema violation is reported with its key path.
+    A key outside this schema is an error. The first schema violation is
+    reported with its key path.
     """
-    if isinstance(source, (str, Path)):
-        try:
-            cfg = json.loads(Path(source).read_text())
-        except OSError as exc:
-            raise ConfigError(str(source), f"cannot read file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(str(source), f"invalid JSON: {exc}") from exc
-    else:
-        cfg = source
+    cfg = read_config(source) if isinstance(source, (str, Path)) else source
     if not isinstance(cfg, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    reject_unknown_keys(cfg, SCENARIO_KEYS, "")
 
     n = _get(cfg, "n", int, "")
     L = _get(cfg, "L_km", float, "")
@@ -300,6 +315,7 @@ def load_scenario(source) -> HighwayScenario:
         path = f"segments[{e}]."
         if not isinstance(raw, dict):
             raise ConfigError(f"segments[{e}]", "expected an object")
+        reject_unknown_keys(raw, SEGMENT_KEYS, path)
         f_bar = _get(raw, "f_bar", float, path)
         rho_bar = _get(raw, "rho_bar", float, path)
         u_bar = _get(raw, "u_bar", float, path)

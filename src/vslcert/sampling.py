@@ -13,20 +13,20 @@ is ``omega_1``). The recursion is intentionally unclamped: it is affine in
 the disturbance, which the certificate machinery relies on, so physically
 impossible negative densities are passed through rather than projected.
 
-A ``SampleSet`` also keeps its draws stacked, so one time loop over the
-trailing (edge, time) axes propagates every draw at once.
+A ``SampleSet`` stores its draws only stacked, (N, n) and (N, n, T), so
+one time loop over the trailing (edge, time) axes propagates them all.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
-from .network import HighwayScenario, SpeedProfile, config_number
+from .network import HighwayScenario, SpeedProfile, config_number, reject_unknown_keys
 
 # Validation seeds are derived from training seeds by this fixed offset so
 # the two streams never overlap for a given run.
@@ -39,6 +39,17 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _store_disturbance(obj, ndim: int) -> None:
+    """Store checked, finite, read-only copies of rho0 and omega in obj."""
+    rho0, omega = _frozen(obj.rho0), _frozen(obj.omega)
+    if rho0.ndim != ndim or omega.shape[:-1] != rho0.shape:
+        raise ValueError("omega must have rho0's shape plus a step axis")
+    if not (np.isfinite(rho0).all() and np.isfinite(omega).all()):
+        raise ValueError("disturbance entries must be finite")
+    object.__setattr__(obj, "rho0", rho0)
+    object.__setattr__(obj, "omega", omega)
+
+
 @dataclass(frozen=True)
 class DisturbanceSample:
     """One realization: rho0 with shape (n,), omega with shape (n, T)."""
@@ -47,38 +58,30 @@ class DisturbanceSample:
     omega: np.ndarray
 
     def __post_init__(self):
-        rho0 = _frozen(self.rho0)
-        omega = _frozen(self.omega)
-        if rho0.ndim != 1 or omega.ndim != 2 or omega.shape[0] != rho0.shape[0]:
-            raise ValueError("rho0 must be (n,) and omega (n, T)")
-        if not (np.isfinite(rho0).all() and np.isfinite(omega).all()):
-            raise ValueError("disturbance entries must be finite")
-        object.__setattr__(self, "rho0", rho0)
-        object.__setattr__(self, "omega", omega)
+        _store_disturbance(self, 1)
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Equally-shaped disturbance samples in order, also stacked as
-    read-only ``rho0`` (N, n) and ``omega`` (N, n, T)."""
+    """N >= 1 disturbance draws in order, stored as read-only arrays
+    ``rho0`` (N, n) and ``omega`` (N, n, T) of finite values."""
 
-    samples: tuple[DisturbanceSample, ...]
-    rho0: np.ndarray = field(init=False, repr=False, compare=False)
-    omega: np.ndarray = field(init=False, repr=False, compare=False)
+    rho0: np.ndarray
+    omega: np.ndarray
 
     def __post_init__(self):
-        if not self.samples:
+        _store_disturbance(self, 2)
+        if self.count < 1:
             raise ValueError("need at least one sample")
-        n, T = self.samples[0].rho0.shape[0], self.samples[0].omega.shape[1]
-        for s in self.samples:
-            if s.rho0.shape[0] != n or s.omega.shape[1] != T:
-                raise ValueError("samples disagree on dimensions")
-        object.__setattr__(self, "rho0", _frozen([s.rho0 for s in self.samples]))
-        object.__setattr__(self, "omega", _frozen([s.omega for s in self.samples]))
+
+    @property
+    def samples(self) -> tuple[DisturbanceSample, ...]:
+        """The draws one by one, built on each access."""
+        return tuple(map(DisturbanceSample, self.rho0, self.omega))
 
     @property
     def count(self) -> int:
-        return len(self.samples)
+        return self.rho0.shape[0]
 
     @property
     def n(self) -> int:
@@ -144,6 +147,7 @@ def load_generator(cfg: dict, n: int) -> GeneratorSpec:
     section = cfg["disturbance"]
     if not isinstance(section, dict):
         raise ConfigError("disturbance", "expected an object")
+    reject_unknown_keys(section, ("rho0", "omega"), "disturbance.")
     for key in ("rho0", "omega"):
         if key not in section:
             raise ConfigError(f"disturbance.{key}", "missing required key")
@@ -158,22 +162,16 @@ def load_generator(cfg: dict, n: int) -> GeneratorSpec:
 def generate_samples(
     gen: GeneratorSpec, count: int, horizon: int, seed: int
 ) -> SampleSet:
-    """Draw ``count`` i.i.d. samples; deterministic for a given seed."""
+    """Draw ``count`` i.i.d. samples in one generator call, deterministic for
+    a given seed, with the bits of one ``rng.uniform`` per draw and array."""
     if count < 1:
         raise ValueError("count must be at least 1")
-    rng = np.random.default_rng(seed)
     n = len(gen.rho0_lo)
-    rho0_lo = np.array(gen.rho0_lo)
-    rho0_hi = np.array(gen.rho0_hi)
-    om_lo = np.array(gen.omega_lo)[:, None]
-    om_hi = np.array(gen.omega_hi)[:, None]
-    samples = []
-    for _ in range(count):
-        rho0 = rng.uniform(rho0_lo, rho0_hi)
-        omega = rng.uniform(np.broadcast_to(om_lo, (n, horizon)),
-                            np.broadcast_to(om_hi, (n, horizon)))
-        samples.append(DisturbanceSample(rho0, omega))
-    return SampleSet(tuple(samples))
+    lo = np.concatenate([gen.rho0_lo, np.repeat(gen.omega_lo, horizon)])
+    hi = np.concatenate([gen.rho0_hi, np.repeat(gen.omega_hi, horizon)])
+    u = np.random.default_rng(seed).random((count, n + n * horizon))
+    draws = lo + (hi - lo) * u
+    return SampleSet(draws[:, :n], draws[:, n:].reshape(count, n, horizon))
 
 
 def propagate(
@@ -260,30 +258,31 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
         with open(omega_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 l, e, t = int(row["l"]), int(row["e"]), int(row["t"])
+                if t < 0:
+                    raise ValueError(f"sample {l}: negative step {t}")
                 omega_rows.setdefault(l, {})[(e, t)] = float(row["omega"])
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(omega_path), f"bad sample file: {exc}") from exc
     if sorted(rho0_rows) != sorted(omega_rows) or not rho0_rows:
         raise ConfigError(str(prefix), "sample indices disagree between the two files")
-    n = scenario.n
-    samples = []
-    for l in sorted(rho0_rows):
+    n, labels = scenario.n, sorted(rho0_rows)
+    horizon = 1 + max(t for rows in omega_rows.values() for (_, t) in rows)
+    rho0 = np.empty((len(labels), n))
+    omega = np.full((len(labels), n, horizon), np.nan)
+    for i, l in enumerate(labels):
         if sorted(rho0_rows[l]) != list(range(1, n + 1)):
             raise ConfigError(str(rho0_path), f"sample {l}: expected edges 1..{n}")
-        horizon = 1 + max(t for (_, t) in omega_rows[l])
-        omega = np.full((n, horizon), np.nan)
-        rho0 = np.array([rho0_rows[l][e] for e in range(1, n + 1)])
+        rho0[i] = [rho0_rows[l][e] for e in range(1, n + 1)]
         for (e, t), v in omega_rows[l].items():
             if not (1 <= e <= n):
                 raise ConfigError(str(omega_path), f"sample {l}: edge {e} out of range")
-            omega[e - 1, t] = v
-        if np.isnan(omega).any():
+            omega[i, e - 1, t] = v
+        if np.isnan(omega[i]).any():
             raise ConfigError(str(omega_path), f"sample {l}: missing omega entries")
-        for e, v in enumerate(rho0):
+        for e, v in enumerate(rho0[i]):
             if not (0 <= v <= scenario.segments[e].rho_bar):
                 raise ConfigError(
                     str(rho0_path),
                     f"sample {l}: rho0 on edge {e + 1} outside [0, rho_bar]",
                 )
-        samples.append(DisturbanceSample(rho0, omega))
-    return SampleSet(tuple(samples))
+    return SampleSet(rho0, omega)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -15,7 +16,7 @@ from vslcert.certificate import (
     flow_weights,
 )
 from vslcert.network import HighwayScenario, SegmentParams, critical_density
-from vslcert.sampling import DisturbanceSample, TrajectoryBatch, propagate_batch
+from vslcert.sampling import SampleSet, TrajectoryBatch, propagate_batch
 
 
 def grid_certificate(scenario, profile, batch, epsilon, step=1e-4):
@@ -53,8 +54,8 @@ def tiny_instance():
     sc = HighwayScenario(n=1, L=1.0, delta=0.1, T=1, segments=(seg,),
                          gamma=(2.0,), jam_margin=1.0, epsilon=0.25)
     prof = sc.speed_profile([2.0])
-    sample = DisturbanceSample(np.array([1.0]), np.array([[2.0]]))
-    batch = propagate_batch(sc, prof, desk.SampleSet((sample,)))
+    samples = SampleSet(np.array([[1.0]]), np.array([[[2.0]]]))
+    batch = propagate_batch(sc, prof, samples)
     return sc, prof, batch
 
 
@@ -86,7 +87,7 @@ def test_zero_radius_returns_mean_objective():
         batch = propagate_batch(sc, prof, samples)
         if box_distance(sc, prof, batch) > 0:
             continue
-        res = certificate(sc, prof, batch, epsilon=0.0)
+        res = certificate(dataclasses.replace(sc, epsilon=0.0), prof, batch)
         mean_h = np.mean([average_flow(prof, batch.rho[l])
                           for l in range(batch.count)])
         assert res.value == pytest.approx(float(mean_h), rel=1e-9)
@@ -94,7 +95,7 @@ def test_zero_radius_returns_mean_objective():
 
 def test_huge_radius_collapses_to_zero():
     sc, prof, batch = tiny_instance()
-    res = certificate(sc, prof, batch, epsilon=1e9)
+    res = certificate(dataclasses.replace(sc, epsilon=1e9), prof, batch)
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.lambda_star == 0.0
 
@@ -105,7 +106,8 @@ def test_value_is_nonincreasing_in_the_radius():
     prof = sc.speed_profile([b[0] for b in sc.bands])
     batch = propagate_batch(sc, prof, desk.desk_samples(sc, gen, 3, 0))
     radii = [0.0, 0.01, 0.1, 1.0, 10.0, 100.0]
-    values = [certificate(sc, prof, batch, epsilon=e).value for e in radii]
+    values = [certificate(dataclasses.replace(sc, epsilon=e), prof, batch).value
+              for e in radii]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -139,14 +141,14 @@ def test_empty_ambiguity_sentinel():
 def test_radius_exactly_at_distance_is_finite():
     sc, prof, batch = tiny_instance()
     d = box_distance(sc, prof, batch)
-    res = certificate(sc, prof, batch, epsilon=d)
+    res = certificate(dataclasses.replace(sc, epsilon=d), prof, batch)
     assert res.status == STATUS_FINITE
 
 
 def test_tie_breaks_to_smallest_scale():
     # with radius equal to the sample value both breakpoints give zero
     sc, prof, batch = tiny_instance()
-    res = certificate(sc, prof, batch, epsilon=1.0)
+    res = certificate(dataclasses.replace(sc, epsilon=1.0), prof, batch)
     assert res.value == pytest.approx(0.0, abs=1e-15)
     assert res.lambda_star == 0.0
 
@@ -161,8 +163,8 @@ def test_rejects_mismatched_batch():
     other = TrajectoryBatch(rho=batch.rho, u=(999.0,))
     with pytest.raises(ValueError):
         certificate(sc, prof, other)
-    with pytest.raises(ValueError):
-        certificate(sc, prof, batch, epsilon=-1.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        dataclasses.replace(sc, epsilon=-1.0)
 
 
 def test_scan_table_covers_breakpoints():

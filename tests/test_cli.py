@@ -170,6 +170,25 @@ def test_bad_config_number_is_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "certificate.csv").exists()
 
 
+@pytest.mark.parametrize("path", ["epsilom", "segments[1].rho_UU",
+                                  "disturbance.omegaa"])
+def test_unknown_config_key_is_config_error(tmp_path, capsys, path):
+    # a misspelt optional key must not fall back to its default
+    with open(DESK) as fh:
+        cfg = json.load(fh)
+    where, _, key = path.rpartition(".")
+    section = {"": cfg, "segments[1]": cfg["segments"][1],
+               "disturbance": cfg["disturbance"]}[where]
+    section[key] = 0.5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    rc = main(["certify", "--scenario", str(bad), "--out", str(tmp_path),
+               "--count", "2", "--speeds", "0.4,0.8"])
+    assert rc == 2
+    assert f"{path}: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.csv").exists()
+
+
 def test_off_menu_speed_is_config_error(tmp_path):
     rc = main(["certify", "--scenario", DESK, "--out", str(tmp_path),
                "--speeds", "0.5,0.8"])

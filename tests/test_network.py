@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,12 @@ def test_loader_reads_a_file(tmp_path):
     path.write_text(json.dumps(vi_scenario_dict()))
     sc = load_scenario(path)
     assert sc.n == 5
+
+
+def test_loader_accepts_the_ignored_beta_key():
+    cfg = json.loads((Path(__file__).parent / "data" / "highway5.json").read_text())
+    assert "beta" in cfg
+    assert load_scenario(cfg).n == 5
 
 
 def test_loader_reports_missing_key_with_path():

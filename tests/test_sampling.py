@@ -146,6 +146,60 @@ def test_generate_samples_deterministic_and_bounded():
         assert s.omega.shape == (2, 7)
 
 
+def reference_generate_samples(gen, count, horizon, seed):
+    """The per-draw loop that one bulk draw replaced: one ``rng.uniform``
+    call for rho0 and then one for omega, draw after draw."""
+    rng = np.random.default_rng(seed)
+    n = len(gen.rho0_lo)
+    om_lo = np.array(gen.omega_lo)[:, None]
+    om_hi = np.array(gen.omega_hi)[:, None]
+    rho0, omega = [], []
+    for _ in range(count):
+        rho0.append(rng.uniform(np.array(gen.rho0_lo), np.array(gen.rho0_hi)))
+        omega.append(rng.uniform(np.broadcast_to(om_lo, (n, horizon)),
+                                 np.broadcast_to(om_hi, (n, horizon))))
+    return np.array(rho0), np.array(omega)
+
+
+@pytest.mark.parametrize("count", [1, 300])
+@pytest.mark.parametrize("section", [
+    {"rho0": 260, "omega": -1500},
+    {"rho0": {"lo": 0.5, "hi": 300}, "omega": {"lo": 2.0e4, "hi": 2.4e4}},
+    {"rho0": [1, {"lo": 0.0, "hi": 1e-3}, {"lo": 10, "hi": 50}],
+     "omega": [{"lo": 2.0e4, "hi": 2.4e4}, 0.1, {"lo": -1500, "hi": 2500}]},
+], ids=["scalar", "pair", "per-edge"])
+def test_bulk_draw_matches_per_draw_loop(section, count):
+    gen = load_generator({"disturbance": section}, 3)
+    for seed, horizon in ((0, 1), (1, 20), (7919, 60)):
+        samples = generate_samples(gen, count, horizon, seed)
+        rho0, omega = reference_generate_samples(gen, count, horizon, seed)
+        assert samples.rho0.shape == rho0.shape and samples.omega.shape == omega.shape
+        assert (samples.rho0 == rho0).all() and (samples.omega == omega).all()
+
+
+def test_sample_set_checks_and_freezes_its_arrays():
+    rho0, omega = np.zeros((2, 3)), np.ones((2, 3, 4))
+    samples = SampleSet(rho0, omega)
+    assert (samples.count, samples.n, samples.horizon) == (2, 3, 4)
+    rho0[0, 0] = 7.0  # the set keeps its own copy
+    assert samples.rho0[0, 0] == 0.0
+    for stored in (samples.rho0, samples.omega):
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+    assert [(s.rho0.shape, s.omega.shape) for s in samples.samples] == [((3,), (3, 4))] * 2
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(np.full((2, 3), bad), omega)
+        with pytest.raises(ValueError, match="finite"):
+            SampleSet(rho0, np.full((2, 3, 4), bad))
+    for shapes in [((2, 3), (2, 4, 4)), ((2, 3), (3, 3, 4)), ((3,), (3, 4)),
+                   ((2, 3), (2, 3))]:
+        with pytest.raises(ValueError, match="shape"):
+            SampleSet(np.zeros(shapes[0]), np.zeros(shapes[1]))
+    with pytest.raises(ValueError, match="at least one"):
+        SampleSet(np.zeros((0, 3)), np.zeros((0, 3, 4)))
+
+
 def test_generator_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         GeneratorSpec(rho0_lo=(2.0,), rho0_hi=(1.0,),
@@ -220,7 +274,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 
 def test_read_samples_rejects_out_of_range_density(tmp_path):
     sc, _ = single_edge(T=2)
-    bad = SampleSet((DisturbanceSample(np.array([100.0]), np.zeros((1, 2))),))
+    bad = SampleSet(np.array([[100.0]]), np.zeros((1, 1, 2)))
     write_samples(bad, tmp_path / "bad")
     with pytest.raises(ConfigError, match="rho_bar"):
         read_samples(tmp_path / "bad", sc)
@@ -232,6 +286,22 @@ def test_read_samples_rejects_missing_entries(tmp_path):
     (tmp_path / "m_omega.csv").write_text("l,e,t,omega\n1,1,0,0.0\n1,1,2,0.0\n")
     with pytest.raises(ConfigError, match="missing omega"):
         read_samples(tmp_path / "m", sc)
+
+
+@pytest.mark.parametrize("labels, omega_rows, message", [
+    # a step of -1 would otherwise overwrite the draw's last step
+    ((1,), "1,1,0,1.0\n1,1,1,2.0\n1,1,-1,7.0\n",
+     r"s_omega\.csv: .*sample 1: negative step -1"),
+    ((1, 2), "1,1,0,1.0\n1,1,1,2.0\n2,1,0,3.0\n",
+     r"s_omega\.csv: sample 2: missing omega"),
+], ids=["negative-step", "horizons-disagree"])
+def test_read_samples_rejects_bad_steps(tmp_path, labels, omega_rows, message):
+    sc, _ = single_edge(T=2)
+    (tmp_path / "s_rho0.csv").write_text(
+        "l,e,rho0\n" + "".join(f"{l},1,5.0\n" for l in labels))
+    (tmp_path / "s_omega.csv").write_text("l,e,t,omega\n" + omega_rows)
+    with pytest.raises(ConfigError, match=message):
+        read_samples(tmp_path / "s", sc)
 
 
 def test_sample_shape_validation():
