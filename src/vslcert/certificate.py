@@ -11,6 +11,10 @@ Each trajectory component contributes the minimum over the box
 ``[0, cap]`` (cap = critical density under the posted limit) of
 ``lam * |rho - r| + a * rho``; that minimum sits at one of the two
 candidate points 0 and clamp(r, 0, cap).
+
+:func:`menu_values` runs the same scan and the same empty-ambiguity
+test for a stack of profiles at once, over the breakpoints of the whole
+menu.
 """
 
 from __future__ import annotations
@@ -63,24 +67,41 @@ def component_min(a: float, cap: float, r: float, lam: float) -> float:
 def box_distance(scenario: HighwayScenario, profile: SpeedProfile,
                  batch: TrajectoryBatch) -> float:
     """Mean 1-norm distance from the sample trajectories to their box."""
-    caps = scenario.critical_densities(profile)[:, None]
-    r = batch.rho
+    caps = scenario.critical_densities(profile)
+    return float(_box_distances(caps, batch.rho))
+
+
+def _box_distances(caps: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Mean 1-norm distance from trajectories r (..., N, n, T) to the box
+    [0, caps] with caps (..., n); one value per leading index."""
+    c3 = caps[..., None, :, None]
     below = np.maximum(-r, 0.0)
-    above = np.maximum(r - caps, 0.0)
-    return float((below + above).sum() / batch.count)
+    above = np.maximum(r - c3, 0.0)
+    return (below + above).sum(axis=(-3, -2, -1)) / r.shape[-3]
 
 
 def _scan_values(a: np.ndarray, caps: np.ndarray, r: np.ndarray,
                  lams: np.ndarray) -> np.ndarray:
-    """Vector of (1/N) * sum of component minima for each scale in lams."""
-    N = r.shape[0]
-    a3 = a[None, :, None]
-    c3 = caps[None, :, None]
-    lam4 = lams[:, None, None, None]
+    """(1/N) * sum of component minima for each scale in lams.
+
+    a and caps are (..., n) and r is (..., N, n, T); the result is
+    (..., L), one row of L scales per leading index.
+    """
+    N = r.shape[-3]
+    a3 = a[..., None, :, None]
+    c3 = caps[..., None, :, None]
     anchor = np.clip(r, 0.0, c3)
-    at_zero = lam4 * np.abs(r)[None]
-    at_anchor = lam4 * np.abs(anchor - r)[None] + (a3 * anchor)[None]
-    return np.minimum(at_zero, at_anchor).sum(axis=(1, 2, 3)) / N
+    # Each profile's components flattened into one trailing axis, with an
+    # axis for the scales before it: (..., 1, N*n*T).
+    flat = r.shape[:-3] + (1, -1)
+    stay = np.abs(r).reshape(flat)
+    move = np.abs(anchor - r).reshape(flat)
+    base = (a3 * anchor).reshape(flat)
+    lam2 = lams[:, None]
+    at_zero = lam2 * stay
+    at_anchor = lam2 * move
+    at_anchor += base
+    return np.minimum(at_zero, at_anchor, out=at_zero).sum(axis=-1) / N
 
 
 def certificate(
@@ -122,3 +143,33 @@ def certificate(
         status=STATUS_FINITE,
         table=table,
     )
+
+
+def menu_scales(scenario: HighwayScenario) -> np.ndarray:
+    """Zero and every band speed over T, sorted: a superset of the
+    breakpoints ``{0} ∪ u/T`` of every admissible profile's dual scan."""
+    speeds = np.concatenate([np.asarray(band, dtype=float)
+                             for band in scenario.bands])
+    return np.unique(np.concatenate(([0.0], speeds / scenario.T)))
+
+
+def menu_values(scenario: HighwayScenario, speeds: np.ndarray,
+                rho: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Certified value of each of P stacked profiles, -inf where the
+    ambiguity set is empty.
+
+    speeds (P, n) are rows of admissible speeds, rho (P, N, n, T) their
+    trajectories and lams the scales of :func:`menu_scales`. The scan
+    over that superset attains each profile's maximum; the sums may be
+    ordered differently from :func:`certificate`'s, so a value can
+    differ from it in the last bits.
+    """
+    caps = np.empty_like(speeds)
+    for e, (seg, band) in enumerate(zip(scenario.segments, scenario.bands)):
+        for v in band:
+            caps[speeds[:, e] == v, e] = critical_density(seg, v)
+    totals = (_scan_values(speeds / scenario.T, caps, rho, lams)
+              - lams * scenario.epsilon)
+    values = totals.max(axis=-1)
+    values[scenario.epsilon < _box_distances(caps, rho)] = -math.inf
+    return values

@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Five subcommands: simulate (linear propagation under a given profile),
-certify (closed-form certificate for a profile), solve (iterative
-certified search), brute-force (exhaustive enumeration), validate
+certify (closed-form certificate for a profile), solve (certified
+search: exact enumeration up to the enumeration cap, the iterative MILP
+search past it), brute-force (exhaustive enumeration), validate
 (fresh-sample out-of-sample check). Every output is a CSV with
 "# key=value" comment lines followed by a column-name row; all
 randomness flows through the --seed flag and the seed is recorded in
-the headers, so reruns are bit-identical.
+the headers, so reruns are bit-identical except for wall times and for
+a budgeted search past the cap that stops on its time limit.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 infeasible
 scenario (or no feasible profile found), 4 numerical failure.
@@ -255,9 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="search for the best certified profile")
     common(p)
     p.add_argument("--gap", type=float, default=DEFAULT_GAP_EPS,
-                   help="relative gap tolerance")
+                   help="relative gap tolerance of the search past the "
+                        "enumeration cap")
     p.add_argument("--time-limit", type=float, default=None,
-                   help="wall-clock budget in seconds")
+                   help="wall-clock budget in seconds of the search past "
+                        "the enumeration cap")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("brute-force", help="enumerate all admissible profiles")

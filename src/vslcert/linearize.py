@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .lpsolve import LpModel, LpSolution, ModelBuilder, solve_milp
-from .network import HighwayScenario, SpeedProfile, critical_density, eta_coefficient
+from .network import HighwayScenario, SpeedProfile, eta_coefficient
 from .sampling import SampleSet, TrajectoryBatch, propagate_batch
 
 

@@ -20,6 +20,7 @@ one time loop over the trailing (edge, time) axes propagates them all.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -181,15 +182,27 @@ def propagate(
     """Density trajectories for slots t = 1..T under the recursion: (n, T)
     for one ``DisturbanceSample``, (N, n, T) for a ``SampleSet``. Only the
     first T disturbance steps are read."""
+    return propagate_speeds(scenario, profile.as_array(), sample)
+
+
+def propagate_speeds(
+    scenario: HighwayScenario, u: np.ndarray,
+    sample: DisturbanceSample | SampleSet,
+) -> np.ndarray:
+    """The recursion of :func:`propagate` under a speed array ``u`` that
+    broadcasts against the draws: (n,) for one profile, or P profiles
+    stacked as (P, 1, n), giving trajectories (P, N, n, T) for a
+    ``SampleSet``. Each element is computed as :func:`propagate` computes
+    it, so every profile's trajectories keep their bits."""
     T, h = scenario.T, scenario.h
     if sample.rho0.shape[-1] != scenario.n:
         raise ValueError("sample edge count does not match the scenario")
     if sample.omega.shape[-1] < T:
         raise ValueError("sample horizon is shorter than the scenario's T")
-    u = profile.as_array()
     rho = sample.rho0
-    out = np.empty(rho.shape + (T,))
-    inflow = np.zeros(rho.shape)
+    shape = np.broadcast_shapes(u.shape, rho.shape)
+    out = np.empty(shape + (T,))
+    inflow = np.zeros(shape)
     for t in range(T):
         flow = u * rho
         inflow[..., 1:] = flow[..., :-1]
@@ -240,6 +253,13 @@ def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:
     return rho0_path, omega_path
 
 
+def _finite(text: str, label: int) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"sample {label}: non-finite value {text!r}")
+    return value
+
+
 def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
     """Load the two-file pair written by :func:`write_samples`."""
     prefix = Path(prefix)
@@ -250,7 +270,7 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
         with open(rho0_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 l, e = int(row["l"]), int(row["e"])
-                rho0_rows.setdefault(l, {})[e] = float(row["rho0"])
+                rho0_rows.setdefault(l, {})[e] = _finite(row["rho0"], l)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(rho0_path), f"bad sample file: {exc}") from exc
     omega_rows: dict[int, dict[tuple[int, int], float]] = {}
@@ -260,7 +280,7 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
                 l, e, t = int(row["l"]), int(row["e"]), int(row["t"])
                 if t < 0:
                     raise ValueError(f"sample {l}: negative step {t}")
-                omega_rows.setdefault(l, {})[(e, t)] = float(row["omega"])
+                omega_rows.setdefault(l, {})[(e, t)] = _finite(row["omega"], l)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(omega_path), f"bad sample file: {exc}") from exc
     if sorted(rho0_rows) != sorted(omega_rows) or not rho0_rows:

@@ -1,6 +1,12 @@
-"""Iterative certified search over admissible speed profiles.
+"""Certified search over admissible speed profiles.
 
-The mixed-binary upper model is built once. Each round solves it for a
+:func:`run_search` solves every menu of at most ``DEFAULT_ENUM_CAP``
+profiles exactly with the stacked evaluator of ``validation``
+(termination ``enumerated``, gap 0, no rounds). The time limit and the gap
+tolerance then play no part, so the answer is the same on every machine.
+
+Larger menus go to :func:`cut_and_bound`, the iterative MILP search.
+Its mixed-binary upper model is built once. Each round solves it for a
 candidate profile, evaluates that candidate exactly with the closed-form
 certificate, tightens the running upper and lower bounds, and appends
 the candidate's exclusion cut to the model. The loop stops when the
@@ -34,7 +40,9 @@ from .linearize import (
 from .lpsolve import INFEASIBLE, OPTIMAL, TIME_LIMIT, solve_milp
 from .lpsolve import solve_milp as solve_lp
 from .sampling import propagate_batch
+from .validation import DEFAULT_ENUM_CAP, exact_optimum, profile_count
 
+TERM_ENUMERATED = "enumerated"
 TERM_GAP = "gap"
 TERM_EXHAUSTED = "upper_infeasible"
 TERM_TIME = "time_limit"
@@ -80,9 +88,26 @@ def _relative_gap(ub: float, lb: float) -> float:
 
 def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
                time_limit: float | None = None) -> SolveReport:
-    """Run the cut-and-bound loop and return the certified best profile."""
+    """Return the certified best profile: exact by enumeration when the
+    menu has at most ``DEFAULT_ENUM_CAP`` profiles, else from
+    :func:`cut_and_bound`, to which gap_eps and time_limit apply."""
     if gap_eps <= 0:
         raise ValueError("gap_eps must be positive")
+    if profile_count(problem.scenario) > DEFAULT_ENUM_CAP:
+        return cut_and_bound(problem, gap_eps, time_limit)
+    start = time.monotonic()
+    best, cert = exact_optimum(problem.scenario, problem.samples)
+    value = cert.value if cert is not None else -math.inf
+    return SolveReport(
+        best_u=best.u if best is not None else None, best_value=value,
+        upper_bound=value, gap=0.0, termination=TERM_ENUMERATED,
+        iterations=(), wall=time.monotonic() - start, certificate=cert,
+    )
+
+
+def cut_and_bound(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
+                  time_limit: float | None = None) -> SolveReport:
+    """Run the cut-and-bound loop and return the certified best profile."""
     scenario = problem.scenario
     start = time.monotonic()
     upper = build_upper(problem)

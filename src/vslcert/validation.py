@@ -1,10 +1,11 @@
 """Independent verification tools.
 
-Three cross-checks live here: exhaustive enumeration of admissible
-profiles (the ground truth the iterative search must match), a physical
-demand/supply traffic simulator used for congestion comparisons, and a
-fresh-sample Monte-Carlo check of the certificate's out-of-sample
-guarantee.
+Three tools live here: the exact evaluator, which scores every
+admissible profile stacked in one propagation and one dual scan per
+chunk (the solver for every menu up to ``DEFAULT_ENUM_CAP`` profiles, and
+the ground truth the MILP search must match), a physical demand/supply
+traffic simulator used for congestion comparisons, and a fresh-sample
+Monte-Carlo check of the certificate's out-of-sample guarantee.
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import average_flow, certificate
+from .certificate import average_flow, certificate, menu_scales, menu_values
 from .errors import InfeasibleScenarioError
 from .network import HighwayScenario, SpeedProfile, wave_ratio
 from .sampling import (
@@ -31,11 +32,67 @@ from .sampling import (
     generate_samples,
     propagate,
     propagate_batch,
+    propagate_speeds,
 )
 
 UNCONTROLLED = "uncontrolled"
 
 DEFAULT_ENUM_CAP = 100_000
+# Elements of the largest scan array (profiles x scales x draws x cells x
+# steps) evaluated at once; a chunk of profiles never holds more, except
+# that it holds at least one profile.
+ENUM_CHUNK_ELEMENTS = 1 << 18
+# Profiles whose stacked value is this close to the best, relative to
+# max(1, |best|), are re-evaluated one by one to pick the winner.
+NEAR_TIE_REL = 1e-12
+
+
+def profile_count(scenario: HighwayScenario) -> int:
+    """Number of admissible profiles: the product of the band sizes."""
+    return math.prod(len(b) for b in scenario.bands)
+
+
+def exact_optimum(scenario: HighwayScenario, samples: SampleSet,
+                  cap: int = DEFAULT_ENUM_CAP):
+    """Evaluate every admissible profile and return (best, result).
+
+    result is the winner's ``CertificateResult``; both are None when every
+    profile has an empty ambiguity set. All profiles are propagated and
+    scanned stacked, in chunks of at most ``ENUM_CHUNK_ELEMENTS``; the
+    profiles within ``NEAR_TIE_REL`` of the best stacked value are then
+    evaluated again one by one with ``propagate_batch`` and
+    ``certificate`` in product order, so the value, its dual scale and the
+    tie-break to the lexicographically smallest speed vector are those of
+    a loop over every profile. Refuses when the profile count exceeds cap.
+    """
+    total = profile_count(scenario)
+    if total > cap:
+        raise ValueError(
+            f"{total} admissible profiles exceed the enumeration cap {cap}; "
+            "use the iterative search for instances this large"
+        )
+    combos = list(itertools.product(*scenario.bands))
+    speeds = np.array(combos, dtype=float)
+    lams = menu_scales(scenario)
+    per_profile = lams.size * samples.rho0.size * scenario.T
+    step = max(1, ENUM_CHUNK_ELEMENTS // per_profile)
+    values = np.concatenate([
+        menu_values(scenario, chunk,
+                    propagate_speeds(scenario, chunk[:, None, :], samples), lams)
+        for chunk in (speeds[i:i + step] for i in range(0, total, step))
+    ])
+    top = values.max()
+    if top == -math.inf:
+        return None, None
+    near = np.flatnonzero(values >= top - NEAR_TIE_REL * max(1.0, abs(top)))
+    best = result = None
+    for i in near:
+        profile = scenario.speed_profile(combos[i])
+        cert = certificate(scenario, profile,
+                           propagate_batch(scenario, profile, samples))
+        if cert.finite and (result is None or cert.value > result.value):
+            best, result = profile, cert
+    return best, result
 
 
 def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet,
@@ -46,27 +103,13 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet,
     lexicographically smallest speed vector. Refuses when the product of
     per-edge menu sizes exceeds cap; use the iterative search instead.
     """
-    total = math.prod(len(b) for b in scenario.bands)
-    if total > cap:
-        raise ValueError(
-            f"{total} admissible profiles exceed the enumeration cap {cap}; "
-            "use the iterative search for instances this large"
-        )
-    best_u = None
-    best_value = -math.inf
-    for combo in itertools.product(*scenario.bands):
-        profile = scenario.speed_profile(combo)
-        batch = propagate_batch(scenario, profile, samples)
-        result = certificate(scenario, profile, batch)
-        if result.finite and result.value > best_value:
-            best_value = result.value
-            best_u = profile
-    if best_u is None:
+    best, result = exact_optimum(scenario, samples, cap)
+    if best is None:
         raise InfeasibleScenarioError(
             "every admissible profile has an empty ambiguity set; "
             "the radius is too small for these samples"
         )
-    return best_u, best_value
+    return best, result.value
 
 
 def simulate_ctm(scenario: HighwayScenario, u,

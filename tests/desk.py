@@ -8,9 +8,11 @@ extremes of rho0 and omega bound every possible draw.
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from vslcert.certificate import certificate
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import HighwayScenario, SegmentParams, wave_ratio
 from vslcert.sampling import (
@@ -19,6 +21,7 @@ from vslcert.sampling import (
     SampleSet,
     generate_samples,
     propagate,
+    propagate_batch,
 )
 
 
@@ -180,3 +183,25 @@ def vi_scenario(omega1=(2.0e4, 2.4e4), epsilon=None):
         omega_hi=(omega1[1], 2500.0, 2500.0, 2500.0, 2500.0),
     )
     return scenario, gen
+
+
+def reference_optimum(scenario, samples):
+    """Per-profile enumeration loop: the oracle for the stacked evaluator
+    and the MILP search. Returns (best, value); raises when every profile
+    has an empty ambiguity set. Ties go to the first profile in product
+    order, the lexicographically smallest speed vector."""
+    best_u = None
+    best_value = -math.inf
+    for combo in itertools.product(*scenario.bands):
+        profile = scenario.speed_profile(combo)
+        batch = propagate_batch(scenario, profile, samples)
+        result = certificate(scenario, profile, batch)
+        if result.finite and result.value > best_value:
+            best_value = result.value
+            best_u = profile
+    if best_u is None:
+        raise InfeasibleScenarioError(
+            "every admissible profile has an empty ambiguity set; "
+            "the radius is too small for these samples"
+        )
+    return best_u, best_value

@@ -294,13 +294,28 @@ def test_read_samples_rejects_missing_entries(tmp_path):
      r"s_omega\.csv: .*sample 1: negative step -1"),
     ((1, 2), "1,1,0,1.0\n1,1,1,2.0\n2,1,0,3.0\n",
      r"s_omega\.csv: sample 2: missing omega"),
-], ids=["negative-step", "horizons-disagree"])
+    # non-finite values would otherwise pass as data or read as gaps
+    ((1,), "1,1,0,1.0\n1,1,1,inf\n",
+     r"s_omega\.csv: .*sample 1: non-finite value 'inf'"),
+    ((1, 2), "1,1,0,1.0\n1,1,1,2.0\n2,1,0,nan\n2,1,1,2.0\n",
+     r"s_omega\.csv: .*sample 2: non-finite value 'nan'"),
+], ids=["negative-step", "horizons-disagree", "inf", "nan"])
 def test_read_samples_rejects_bad_steps(tmp_path, labels, omega_rows, message):
     sc, _ = single_edge(T=2)
     (tmp_path / "s_rho0.csv").write_text(
         "l,e,rho0\n" + "".join(f"{l},1,5.0\n" for l in labels))
     (tmp_path / "s_omega.csv").write_text("l,e,t,omega\n" + omega_rows)
     with pytest.raises(ConfigError, match=message):
+        read_samples(tmp_path / "s", sc)
+
+
+def test_read_samples_rejects_non_finite_density(tmp_path):
+    sc, _ = single_edge(T=2)
+    (tmp_path / "s_rho0.csv").write_text("l,e,rho0\n1,1,5.0\n2,1,-inf\n")
+    (tmp_path / "s_omega.csv").write_text(
+        "l,e,t,omega\n" + "".join(f"{l},1,{t},0.0\n" for l in (1, 2) for t in (0, 1)))
+    with pytest.raises(ConfigError,
+                       match=r"s_rho0\.csv: .*sample 2: non-finite value '-inf'"):
         read_samples(tmp_path / "s", sc)
 
 

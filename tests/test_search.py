@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -6,15 +5,16 @@ import numpy as np
 import pytest
 
 import desk
-from vslcert.errors import InfeasibleScenarioError, NumericalError
+from vslcert.errors import NumericalError
 from vslcert.linearize import SearchProblem, assignment_of
 from vslcert.search import (
+    TERM_ENUMERATED,
     TERM_EXHAUSTED,
     TERM_GAP,
     TERM_TIME,
+    cut_and_bound,
     run_search,
 )
-from vslcert.validation import brute_force_optimum
 
 
 def build_problem(seed, **kw):
@@ -30,7 +30,7 @@ def assignment_count(scenario):
 
 def test_single_candidate_exhausts_in_one_round():
     problem = build_problem(1, n=1, T=2, menu_size=1)
-    report = run_search(problem)
+    report = cut_and_bound(problem)
     assert report.termination in (TERM_GAP, TERM_EXHAUSTED)
     assert len(report.iterations) == 1
     assert report.feasible
@@ -48,8 +48,8 @@ def test_small_grid_matches_brute_force():
         if assignment_count(problem.scenario) < 2:
             continue
         found += 1
-        report = run_search(problem)
-        u_star, j_star = brute_force_optimum(problem.scenario, problem.samples)
+        report = cut_and_bound(problem)
+        u_star, j_star = desk.reference_optimum(problem.scenario, problem.samples)
         assert report.feasible
         assert report.best_value == pytest.approx(j_star, rel=1e-6)
         # near-ties may pick another profile; its exact value must still
@@ -61,7 +61,7 @@ def test_small_grid_matches_brute_force():
 def test_bound_monotonicity_and_sandwich():
     for seed in (7, 9):
         problem = build_problem(seed, n=2, T=2, menu_size=2)
-        report = run_search(problem)
+        report = cut_and_bound(problem)
         ubs = [r.ub for r in report.iterations]
         lbs = [r.lb for r in report.iterations]
         assert all(a >= b - 1e-9 for a, b in zip(ubs, ubs[1:]))
@@ -74,7 +74,7 @@ def test_bound_monotonicity_and_sandwich():
 
 def test_no_assignment_repeats():
     problem = build_problem(13, n=2, T=2, menu_size=2)
-    report = run_search(problem)
+    report = cut_and_bound(problem)
     seen = [r.assignment for r in report.iterations]
     assert len(seen) == len(set(seen))
 
@@ -92,7 +92,7 @@ def test_repeated_candidate_raises(monkeypatch):
 
     monkeypatch.setattr("vslcert.search.assignment_of", stuck)
     with pytest.raises(NumericalError, match="already visited") as info:
-        run_search(problem, gap_eps=1e-12)
+        cut_and_bound(problem, gap_eps=1e-12)
     report = info.value.report
     assert report.termination == "aborted"
     assert [r.assignment for r in report.iterations] == [first[0]]
@@ -103,7 +103,7 @@ def test_all_sentinel_search_is_infeasible():
     sc, gen = desk.sentinel_scenario(rng, n=2, T=2)
     samples = desk.desk_samples(sc, gen, 2, 0)
     problem = SearchProblem(sc, samples)
-    report = run_search(problem)
+    report = cut_and_bound(problem)
     assert report.termination == TERM_EXHAUSTED
     assert not report.feasible
     assert report.best_u is None
@@ -113,7 +113,7 @@ def test_all_sentinel_search_is_infeasible():
 
 def test_gap_termination_reports_closed_gap():
     problem = build_problem(29, n=1, T=2, menu_size=2)
-    report = run_search(problem, gap_eps=1e9)
+    report = cut_and_bound(problem, gap_eps=1e9)
     # an absurdly loose tolerance stops at the first finite candidate
     assert report.termination == TERM_GAP
     assert len(report.iterations) == 1
@@ -126,12 +126,27 @@ def test_time_limit_stops_with_best_so_far():
         pytest.skip("needs a few candidates")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        report = run_search(problem, time_limit=1e-9)
+        report = cut_and_bound(problem, time_limit=1e-9)
     # the budget expires immediately, yet a finite candidate must exist
     # before the loop is allowed to stop
     assert report.termination == TERM_TIME
     assert report.feasible
     assert len(report.iterations) >= 1
+
+
+def test_small_grid_is_enumerated_exactly():
+    # The budget and the gap tolerance apply to the MILP search only: a
+    # menu under the enumeration cap is solved exactly however short the
+    # budget.
+    for seed in (101, 103, 107):
+        problem = build_problem(seed, n=2, T=2, menu_size=2)
+        report = run_search(problem, time_limit=1e-9)
+        u_star, j_star = desk.reference_optimum(problem.scenario, problem.samples)
+        assert report.termination == TERM_ENUMERATED
+        assert report.gap == 0.0
+        assert report.iterations == ()
+        assert report.best_u == u_star.u
+        assert report.best_value == report.upper_bound == j_star
 
 
 def test_gap_eps_validation():

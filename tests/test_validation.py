@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,12 +9,19 @@ import pytest
 import desk
 from vslcert.certificate import average_flow, certificate
 from vslcert.errors import InfeasibleScenarioError
-from vslcert.network import HighwayScenario, SegmentParams, wave_ratio
+from vslcert.network import (
+    HighwayScenario,
+    SegmentParams,
+    load_scenario,
+    read_config,
+    wave_ratio,
+)
 from vslcert.sampling import (
     VALIDATION_SEED_OFFSET,
     DisturbanceSample,
     GeneratorSpec,
     generate_samples,
+    load_generator,
     propagate,
     propagate_batch,
 )
@@ -20,9 +29,12 @@ from vslcert.validation import (
     UNCONTROLLED,
     ValidationConfig,
     brute_force_optimum,
+    exact_optimum,
     simulate_ctm,
     validate,
 )
+
+BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 
 
 def reference_propagate(sc, prof, sample):
@@ -142,6 +154,58 @@ def test_brute_force_all_sentinel_raises():
     samples = desk.desk_samples(sc, gen, 2, 0)
     with pytest.raises(InfeasibleScenarioError):
         brute_force_optimum(sc, samples)
+
+
+def assert_exact_optimum_is_reference(sc, samples):
+    """The stacked evaluator returns the reference loop's profile, value
+    and certificate, bit for bit."""
+    best, result = exact_optimum(sc, samples)
+    ref_u, ref_value = desk.reference_optimum(sc, samples)
+    assert best == ref_u
+    assert result.value == ref_value
+    assert result == certificate(sc, ref_u, propagate_batch(sc, ref_u, samples))
+
+
+def test_exact_optimum_matches_reference_loop():
+    compared = 0
+    for k in range(40):
+        rng = np.random.default_rng(600 + k)
+        sc, gen = desk.random_scenario(rng)
+        samples = desk.desk_samples(sc, gen, int(rng.integers(1, 4)), k)
+        try:
+            assert_exact_optimum_is_reference(sc, samples)
+        except InfeasibleScenarioError:
+            assert exact_optimum(sc, samples) == (None, None)
+            continue
+        compared += 1
+    assert compared >= 30
+
+
+def test_exact_optimum_all_sentinel():
+    rng = np.random.default_rng(23)
+    sc, gen = desk.sentinel_scenario(rng, n=2, T=2)
+    samples = desk.desk_samples(sc, gen, 2, 0)
+    with pytest.raises(InfeasibleScenarioError):
+        desk.reference_optimum(sc, samples)
+    assert exact_optimum(sc, samples) == (None, None)
+
+
+def test_exact_optimum_breaks_near_ties_like_the_loop():
+    # Seed 0 of this benchmark instance has three profiles whose
+    # certificate values lie within 1e-12 of each other.
+    path = BENCH_SCENARIOS / "desk_9010.json"
+    manifest = json.loads((BENCH_SCENARIOS / "desk_manifest.json").read_text())
+    count = next(m["count"] for m in manifest if m["file"] == path.name)
+    cfg = read_config(path)
+    sc = load_scenario(cfg)
+    samples = generate_samples(load_generator(cfg, sc.n), count, sc.T, 0)
+    values = []
+    for combo in itertools.product(*sc.bands):
+        prof = sc.speed_profile(combo)
+        values.append(certificate(sc, prof, propagate_batch(sc, prof, samples)).value)
+    top = max(values)
+    assert sum(v >= top - 1e-12 * max(1.0, abs(top)) for v in values) == 3
+    assert_exact_optimum_is_reference(sc, samples)
 
 
 def test_ctm_stays_at_zero_without_input():
