@@ -10,11 +10,23 @@ breakpoints: zero and the per-edge flow weights ``u_e / T``.
 Each trajectory component contributes the minimum over the box
 ``[0, cap]`` (cap = critical density under the posted limit) of
 ``lam * |rho - r| + a * rho``; that minimum sits at one of the two
-candidate points 0 and clamp(r, 0, cap).
+candidate points 0 and anchor = clip(r, 0, cap).
 
-:func:`menu_values` runs the same scan and the same empty-ambiguity
-test for a stack of profiles at once, over the breakpoints of the whole
-menu.
+That minimum also has a closed form. Below the box, inside it and above
+it alike, ``|r| = |anchor - r| + anchor``, so
+
+    min(lam * |r|, lam * |anchor - r| + a * anchor)
+        = lam * |anchor - r| + min(lam, a) * anchor.
+
+Summed over the draws, cells and steps, a profile's dual objective is
+therefore ``lam * dist + sum_e min(lam, a_e) * mass_e - lam * epsilon``,
+where ``dist`` is the mean distance of the trajectories to the box (the
+same figure the empty-ambiguity test compares with epsilon) and
+``mass_e`` the per-cell sum of the anchors over draws and steps, divided
+by the number of draws. :func:`menu_values` scans a stack of profiles
+this way, over the breakpoints of the whole menu, from two sums per
+profile. :func:`certificate` keeps the component-wise scan: it is the
+reference whose value, scale and table go into the outputs.
 """
 
 from __future__ import annotations
@@ -67,41 +79,38 @@ def component_min(a: float, cap: float, r: float, lam: float) -> float:
 def box_distance(scenario: HighwayScenario, profile: SpeedProfile,
                  batch: TrajectoryBatch) -> float:
     """Mean 1-norm distance from the sample trajectories to their box."""
-    caps = scenario.critical_densities(profile)
-    return float(_box_distances(caps, batch.rho))
+    r = np.asarray(batch.rho)
+    return float(_box_distance(r, _anchor(scenario.critical_densities(profile), r)))
 
 
-def _box_distances(caps: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Mean 1-norm distance from trajectories r (..., N, n, T) to the box
-    [0, caps] with caps (..., n); one value per leading index."""
-    c3 = caps[..., None, :, None]
-    below = np.maximum(-r, 0.0)
-    above = np.maximum(r - c3, 0.0)
-    return (below + above).sum(axis=(-3, -2, -1)) / r.shape[-3]
+def _anchor(caps: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Nearest point of the box [0, caps] to each component of the
+    trajectories r (..., N, n, T), with caps (..., n)."""
+    return np.clip(r, 0.0, caps[..., None, :, None])
 
 
-def _scan_values(a: np.ndarray, caps: np.ndarray, r: np.ndarray,
+def _box_distance(r: np.ndarray, anchor: np.ndarray) -> np.ndarray:
+    """Mean 1-norm distance from trajectories r (..., N, n, T) to their
+    anchors; one value per leading index."""
+    return np.abs(anchor - r).sum(axis=(-3, -2, -1)) / r.shape[-3]
+
+
+def _scan_values(a: np.ndarray, r: np.ndarray, anchor: np.ndarray,
                  lams: np.ndarray) -> np.ndarray:
     """(1/N) * sum of component minima for each scale in lams.
 
-    a and caps are (..., n) and r is (..., N, n, T); the result is
-    (..., L), one row of L scales per leading index.
+    a is (n,), r and its anchors are (N, n, T); the result is (L,).
     """
-    N = r.shape[-3]
-    a3 = a[..., None, :, None]
-    c3 = caps[..., None, :, None]
-    anchor = np.clip(r, 0.0, c3)
-    # Each profile's components flattened into one trailing axis, with an
-    # axis for the scales before it: (..., 1, N*n*T).
-    flat = r.shape[:-3] + (1, -1)
-    stay = np.abs(r).reshape(flat)
-    move = np.abs(anchor - r).reshape(flat)
-    base = (a3 * anchor).reshape(flat)
+    # The components flattened into one trailing axis, with an axis for
+    # the scales before it: (1, N*n*T).
+    stay = np.abs(r).reshape(1, -1)
+    move = np.abs(anchor - r).reshape(1, -1)
+    base = (a[:, None] * anchor).reshape(1, -1)
     lam2 = lams[:, None]
     at_zero = lam2 * stay
     at_anchor = lam2 * move
     at_anchor += base
-    return np.minimum(at_zero, at_anchor, out=at_zero).sum(axis=-1) / N
+    return np.minimum(at_zero, at_anchor, out=at_zero).sum(axis=-1) / r.shape[0]
 
 
 def certificate(
@@ -125,13 +134,14 @@ def certificate(
     if r.shape[1] != scenario.n or r.shape[2] != scenario.T:
         raise ValueError("trajectory batch dimensions do not match the scenario")
 
-    if scenario.epsilon < box_distance(scenario, profile, batch):
+    anchor = _anchor(caps, r)
+    if scenario.epsilon < _box_distance(r, anchor):
         return CertificateResult(
             value=-math.inf, lambda_star=math.inf, status=STATUS_EMPTY, table=()
         )
 
     lams = np.unique(np.concatenate(([0.0], a)))
-    totals = _scan_values(a, caps, r, lams) - lams * scenario.epsilon
+    totals = _scan_values(a, r, anchor, lams) - lams * scenario.epsilon
     best = 0
     for i in range(1, len(lams)):
         if totals[i] > totals[best]:
@@ -160,16 +170,22 @@ def menu_values(scenario: HighwayScenario, speeds: np.ndarray,
 
     speeds (P, n) are rows of admissible speeds, rho (P, N, n, T) their
     trajectories and lams the scales of :func:`menu_scales`. The scan
-    over that superset attains each profile's maximum; the sums may be
-    ordered differently from :func:`certificate`'s, so a value can
-    differ from it in the last bits.
+    over that superset attains each profile's maximum. It runs in the
+    closed form of the module docstring, so its sums are ordered
+    differently from :func:`certificate`'s and a value can differ from
+    it in the last bits.
     """
     caps = np.empty_like(speeds)
     for e, (seg, band) in enumerate(zip(scenario.segments, scenario.bands)):
         for v in band:
             caps[speeds[:, e] == v, e] = critical_density(seg, v)
-    totals = (_scan_values(speeds / scenario.T, caps, rho, lams)
-              - lams * scenario.epsilon)
+    anchor = _anchor(caps, rho)
+    dist = _box_distance(rho, anchor)
+    mass = anchor.sum(axis=(1, 3)) / rho.shape[1]
+    # (P, L, n): one term per profile, scale and cell.
+    per_cell = np.minimum(lams[:, None], speeds[:, None, :] / scenario.T)
+    per_cell *= mass[:, None, :]
+    totals = per_cell.sum(axis=-1) + lams * (dist[:, None] - scenario.epsilon)
     values = totals.max(axis=-1)
-    values[scenario.epsilon < _box_distances(caps, rho)] = -math.inf
+    values[scenario.epsilon < dist] = -math.inf
     return values

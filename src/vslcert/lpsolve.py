@@ -9,18 +9,24 @@ maximize.
 Solves are deterministic for a fixed model: HiGHS runs single-threaded
 with a fixed pivot and branching order here, so repeated calls return
 bit-identical solutions.
+
+scipy is imported by the functions that call it, not with the module, so
+the command line starts without it and only a search past the
+enumeration cap pays for the import.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .errors import NumericalError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -89,6 +95,8 @@ class LpModel:
     def add_row(self, cols, coefs, sense: str, rhs: float, block: str = "other") -> int:
         """Append one row in place, checked, scaled and bounded as the
         default :meth:`ModelBuilder.build` does."""
+        import scipy.sparse as sp
+
         cols, coefs = _check_row(cols, coefs, sense, rhs, self.nvars)
         scale = _row_scale(coefs)
         row = sp.csr_matrix((np.multiply(coefs, scale), cols, [0, len(cols)]),
@@ -151,6 +159,8 @@ class ModelBuilder:
         return len(self._rhs) - 1
 
     def build(self, scale: bool = True) -> LpModel:
+        import scipy.sparse as sp
+
         n = self.nvars
         m = len(self._rhs)
         data: list[float] = []
@@ -191,6 +201,8 @@ def solve_milp(model: LpModel, time_limit: float | None = None) -> LpSolution:
     limit is reported via ``status`` with whatever incumbent exists;
     infeasibility and unboundedness are reported as their own statuses.
     """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     options = {"mip_rel_gap": 1e-6, "presolve": True}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)

@@ -38,9 +38,9 @@ from .sampling import (
 UNCONTROLLED = "uncontrolled"
 
 DEFAULT_ENUM_CAP = 100_000
-# Elements of the largest scan array (profiles x scales x draws x cells x
-# steps) evaluated at once; a chunk of profiles never holds more, except
-# that it holds at least one profile.
+# Elements of the largest array built per chunk, the stacked trajectories
+# (profiles x draws x cells x steps); a chunk of profiles never holds
+# more, except that it holds at least one profile.
 ENUM_CHUNK_ELEMENTS = 1 << 18
 # Profiles whose stacked value is this close to the best, relative to
 # max(1, |best|), are re-evaluated one by one to pick the winner.
@@ -74,7 +74,7 @@ def exact_optimum(scenario: HighwayScenario, samples: SampleSet,
     combos = list(itertools.product(*scenario.bands))
     speeds = np.array(combos, dtype=float)
     lams = menu_scales(scenario)
-    per_profile = lams.size * samples.rho0.size * scenario.T
+    per_profile = samples.rho0.size * scenario.T
     step = max(1, ENUM_CHUNK_ELEMENTS // per_profile)
     values = np.concatenate([
         menu_values(scenario, chunk,
@@ -142,20 +142,24 @@ def simulate_ctm(scenario: HighwayScenario, u,
     h = scenario.h
 
     rho = np.clip(sample.rho0, 0.0, rho_U)
-    out, applied, inflow, outflow = (np.empty(rho.shape + (horizon,))
-                                     for _ in range(4))
+    out = np.empty(rho.shape + (horizon,))
+    # The flows keep every step only when returned; otherwise step k = 0
+    # is overwritten each step.
+    steps = horizon if return_flows else 1
+    applied, inflow, outflow = (np.empty(rho.shape + (steps,)) for _ in range(3))
     for t in range(horizon):
+        k = t % steps
         demand = np.minimum(speeds * rho, f_U)
         supply = np.minimum(wave * (rho_U - rho), f_U)
-        inflow[..., 0, t] = np.minimum(sample.omega[..., 0, t], supply[..., 0])
-        inflow[..., 1:, t] = outflow[..., :-1, t] = np.minimum(
+        inflow[..., 0, k] = np.minimum(sample.omega[..., 0, t], supply[..., 0])
+        inflow[..., 1:, k] = outflow[..., :-1, k] = np.minimum(
             demand[..., :-1], supply[..., 1:])
-        outflow[..., -1, t] = demand[..., -1]
-        interim = rho + h * (inflow[..., t] - outflow[..., t])
+        outflow[..., -1, k] = demand[..., -1]
+        interim = rho + h * (inflow[..., k] - outflow[..., k])
         bumped = interim.copy()
         bumped[..., 1:] += h * sample.omega[..., 1:, t]
         rho = np.clip(bumped, 0.0, rho_U)
-        applied[..., t] = (rho - interim) / h
+        applied[..., k] = (rho - interim) / h
         out[..., t] = rho
     if return_flows:
         return out, {"boundary": inflow[..., 0, :], "exit": outflow[..., -1, :],

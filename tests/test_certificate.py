@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import desk
 from vslcert.certificate import (
@@ -14,6 +16,8 @@ from vslcert.certificate import (
     certificate,
     component_min,
     flow_weights,
+    menu_scales,
+    menu_values,
 )
 from vslcert.network import HighwayScenario, SegmentParams, critical_density
 from vslcert.sampling import SampleSet, TrajectoryBatch, propagate_batch
@@ -173,3 +177,53 @@ def test_scan_table_covers_breakpoints():
     lams = [row[0] for row in res.table]
     assert lams == [0.0, 2.0]
     assert max(v for _, v in res.table) == res.value
+
+
+@st.composite
+def stacked_menus(draw):
+    """A desk scenario, P admissible profiles (P, n) and stacked
+    trajectories (P, N, n, T) whose components lie below 0, inside
+    [0, cap] or above cap, with a radius that is zero, exactly one
+    profile's box distance, or any value up to past the largest."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    sc, _ = desk.random_scenario(np.random.default_rng(seed),
+                                 T=draw(st.integers(1, 3)))
+    P, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    speeds = np.array([[draw(st.sampled_from(band)) for band in sc.bands]
+                       for _ in range(P)])
+    profiles = [sc.speed_profile(tuple(float(v) for v in row)) for row in speeds]
+    shape = (P, N, sc.n, sc.T)
+    size = math.prod(shape)
+    regime = np.array(draw(st.lists(st.sampled_from((-1, 0, 1)),
+                                    min_size=size, max_size=size))).reshape(shape)
+    frac = np.array(draw(st.lists(st.floats(0.0, 1.0),
+                                  min_size=size, max_size=size))).reshape(shape)
+    caps = np.array([sc.critical_densities(p) for p in profiles])[:, None, :, None]
+    rho = np.where(regime < 0, -frac * caps,
+                   np.where(regime > 0, caps * (1.0 + frac), frac * caps))
+    dists = [box_distance(sc, p, TrajectoryBatch(rho=r, u=p.u))
+             for p, r in zip(profiles, rho)]
+    epsilon = draw(st.one_of(st.just(0.0), st.sampled_from(dists),
+                             st.floats(0.0, 2.0 * max(dists) + 1.0)))
+    return dataclasses.replace(sc, epsilon=epsilon), profiles, speeds, rho, dists
+
+
+@settings(deadline=None)
+@given(stacked_menus())
+def test_menu_values_closed_form_matches_component_sums(menu):
+    sc, profiles, speeds, rho, dists = menu
+    lams = menu_scales(sc)
+    values = menu_values(sc, speeds, rho, lams)
+    for profile, r, dist, value in zip(profiles, rho, dists, values):
+        if dist > sc.epsilon:
+            assert value == -math.inf
+            continue
+        a = profile.as_array() / sc.T
+        caps = sc.critical_densities(profile)
+        ref = max(
+            sum(component_min(a[e], caps[e], r[l, e, t], lam)
+                for l, e, t in np.ndindex(r.shape)) / r.shape[0]
+            - lam * sc.epsilon
+            for lam in lams
+        )
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vslcert
 from vslcert.cli import main
 from vslcert.errors import NumericalError
 
@@ -108,6 +112,39 @@ def test_budgeted_solve_reruns_identically(tmp_path):
     assert header["termination"] == "enumerated"
     assert header["j_hat"] == bf_header["j_star"]
     assert [r["u"] for r in rows] == [r["u"] for r in bf_rows]
+
+
+def test_commands_start_without_scipy(tmp_path):
+    # scipy serves only the MILP search past the enumeration cap, so the
+    # commands that stay under it never import it; vslcert.lpsolve itself
+    # is still imported, without it.
+    script = f"""
+import json, sys
+from vslcert.cli import main
+out = {str(tmp_path)!r}
+common = ["--scenario", {HIGHWAY!r}, "--out", out]
+codes = [
+    main(["certify", *common, "--speeds", "120,120,120,80,120"]),
+    main(["brute-force", *common]),
+    main(["solve", *common]),
+    main(["validate", *common, "--speeds", "120,120,120,80,120",
+          "--jhat", "1e5", "--nval", "50"]),
+]
+print(json.dumps({{
+    "codes": codes,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "lpsolve": "vslcert.lpsolve" in sys.modules,
+}}))
+"""
+    src = str(Path(vslcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                               if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"codes": [0, 0, 0, 0], "scipy": [], "lpsolve": True}
 
 
 def test_validate_outputs(tmp_path):
