@@ -4,29 +4,29 @@ The certified quantity is the worst expected average flow over every
 disturbance distribution within transport radius ``epsilon`` (1-norm
 ground cost) of the empirical trajectory distribution. For a fixed
 profile the worst case reduces to a one-dimensional concave piecewise
-linear maximization over the dual scale, evaluated exactly at its
-breakpoints: zero and the per-edge flow weights ``u_e / T``.
+linear maximization over the dual scale ``lam``, evaluated exactly at its
+breakpoints: zero and the per-cell flow weights ``a_e = u_e / T``.
 
-Each trajectory component contributes the minimum over the box
+Each trajectory component r contributes the minimum over the box
 ``[0, cap]`` (cap = critical density under the posted limit) of
-``lam * |rho - r| + a * rho``; that minimum sits at one of the two
-candidate points 0 and anchor = clip(r, 0, cap).
+``lam * |rho - r| + a * rho``. Below the box, inside it and above it
+alike that minimum is ``lam * |anchor - r| + min(lam, a) * anchor``, with
+anchor = clip(r, 0, cap) the nearest point of the box. Summed over the
+draws, cells and steps and divided by the number of draws, a profile's
+dual objective is therefore
 
-That minimum also has a closed form. Below the box, inside it and above
-it alike, ``|r| = |anchor - r| + anchor``, so
+    lam * dist + sum_e min(lam, a_e) * mass_e - lam * epsilon,
 
-    min(lam * |r|, lam * |anchor - r| + a * anchor)
-        = lam * |anchor - r| + min(lam, a) * anchor.
-
-Summed over the draws, cells and steps, a profile's dual objective is
-therefore ``lam * dist + sum_e min(lam, a_e) * mass_e - lam * epsilon``,
-where ``dist`` is the mean distance of the trajectories to the box (the
-same figure the empty-ambiguity test compares with epsilon) and
+where ``dist`` is the mean distance of the trajectories to the box and
 ``mass_e`` the per-cell sum of the anchors over draws and steps, divided
-by the number of draws. :func:`menu_values` scans a stack of profiles
-this way, over the breakpoints of the whole menu, from two sums per
-profile. :func:`certificate` keeps the component-wise scan: it is the
-reference whose value, scale and table go into the outputs.
+by the number of draws. When ``epsilon < dist`` no distribution in the
+ball is supported on the box and the value is the sentinel -inf.
+
+:func:`_dual_totals` evaluates this closed form for a stack of profiles,
+summing in an order that does not depend on the stack, so
+:func:`certificate` (one profile, its sorted breakpoints) and
+:func:`menu_values` (many profiles, each at its own breakpoints) give a
+profile the same value to the last bit.
 """
 
 from __future__ import annotations
@@ -79,38 +79,41 @@ def component_min(a: float, cap: float, r: float, lam: float) -> float:
 def box_distance(scenario: HighwayScenario, profile: SpeedProfile,
                  batch: TrajectoryBatch) -> float:
     """Mean 1-norm distance from the sample trajectories to their box."""
-    r = np.asarray(batch.rho)
-    return float(_box_distance(r, _anchor(scenario.critical_densities(profile), r)))
+    a = flow_weights(scenario, profile)[None]
+    _, dist = _dual_totals(a, scenario.critical_densities(profile)[None],
+                           np.asarray(batch.rho)[None], a, scenario.epsilon)
+    return float(dist[0])
 
 
-def _anchor(caps: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Nearest point of the box [0, caps] to each component of the
-    trajectories r (..., N, n, T), with caps (..., n)."""
-    return np.clip(r, 0.0, caps[..., None, :, None])
+def _dual_totals(a: np.ndarray, caps: np.ndarray, rho: np.ndarray,
+                 lams: np.ndarray, epsilon: float):
+    """Dual objective of P stacked profiles at their scales, and their
+    box distances.
 
-
-def _box_distance(r: np.ndarray, anchor: np.ndarray) -> np.ndarray:
-    """Mean 1-norm distance from trajectories r (..., N, n, T) to their
-    anchors; one value per leading index."""
-    return np.abs(anchor - r).sum(axis=(-3, -2, -1)) / r.shape[-3]
-
-
-def _scan_values(a: np.ndarray, r: np.ndarray, anchor: np.ndarray,
-                 lams: np.ndarray) -> np.ndarray:
-    """(1/N) * sum of component minima for each scale in lams.
-
-    a is (n,), r and its anchors are (N, n, T); the result is (L,).
+    a and caps are (P, n), rho (P, N, n, T) and lams (P, L). Returns the
+    totals (P, L), -inf on every row whose ambiguity set is empty, and
+    the distances (P,), inf past the float range.
     """
-    # The components flattened into one trailing axis, with an axis for
-    # the scales before it: (1, N*n*T).
-    stay = np.abs(r).reshape(1, -1)
-    move = np.abs(anchor - r).reshape(1, -1)
-    base = (a[:, None] * anchor).reshape(1, -1)
-    lam2 = lams[:, None]
-    at_zero = lam2 * stay
-    at_anchor = lam2 * move
-    at_anchor += base
-    return np.minimum(at_zero, at_anchor, out=at_zero).sum(axis=-1) / r.shape[0]
+    count = rho.shape[1]
+    anchor = np.clip(rho, 0.0, caps[:, None, :, None])
+    # Each sum runs over steps, then draws (mass), or over one profile's
+    # contiguous block (dist), so a profile's sums do not depend on how
+    # many profiles are stacked with it.
+    mass = anchor.sum(axis=3).sum(axis=1) / count
+    anchor -= rho  # now anchor - rho, with no temporary of rho's size
+    with np.errstate(over="ignore"):
+        dist = np.abs(anchor, out=anchor).sum(axis=(1, 2, 3)) / count
+    # (P, L, n): one term per profile, scale and cell.
+    per_cell = np.minimum(lams[:, :, None], a[:, None, :])
+    per_cell *= mass[:, None, :]
+    # lam * (dist - epsilon) <= 0; near the float maximum it overflows to
+    # -inf, its exact limit, and the scale zero still wins. An empty row
+    # has dist > epsilon (perhaps inf); it takes -inf below instead.
+    slack = np.minimum(dist, epsilon) - epsilon
+    with np.errstate(over="ignore"):
+        totals = per_cell.sum(axis=2) + lams * slack[:, None]
+    totals[epsilon < dist] = -math.inf
+    return totals, dist
 
 
 def certificate(
@@ -128,64 +131,42 @@ def certificate(
     """
     if batch.u != profile.u:
         raise ValueError("trajectory batch was generated under a different profile")
-    a = flow_weights(scenario, profile)
-    caps = scenario.critical_densities(profile)
-    r = np.asarray(batch.rho)
-    if r.shape[1] != scenario.n or r.shape[2] != scenario.T:
+    rho = np.asarray(batch.rho)
+    if rho.shape[1] != scenario.n or rho.shape[2] != scenario.T:
         raise ValueError("trajectory batch dimensions do not match the scenario")
-
-    anchor = _anchor(caps, r)
-    if scenario.epsilon < _box_distance(r, anchor):
+    a = flow_weights(scenario, profile)
+    lams = np.unique(np.concatenate(([0.0], a)))
+    totals, dist = _dual_totals(a[None], scenario.critical_densities(profile)[None],
+                                rho[None], lams[None], scenario.epsilon)
+    if scenario.epsilon < dist[0]:
         return CertificateResult(
             value=-math.inf, lambda_star=math.inf, status=STATUS_EMPTY, table=()
         )
-
-    lams = np.unique(np.concatenate(([0.0], a)))
-    totals = _scan_values(a, r, anchor, lams) - lams * scenario.epsilon
-    best = 0
-    for i in range(1, len(lams)):
-        if totals[i] > totals[best]:
-            best = i
-    table = tuple((float(l), float(v)) for l, v in zip(lams, totals))
+    totals = totals[0]
+    best = int(np.argmax(totals))
     return CertificateResult(
         value=float(totals[best]),
         lambda_star=float(lams[best]),
         status=STATUS_FINITE,
-        table=table,
+        table=tuple((float(l), float(v)) for l, v in zip(lams, totals)),
     )
 
 
-def menu_scales(scenario: HighwayScenario) -> np.ndarray:
-    """Zero and every band speed over T, sorted: a superset of the
-    breakpoints ``{0} ∪ u/T`` of every admissible profile's dual scan."""
-    speeds = np.concatenate([np.asarray(band, dtype=float)
-                             for band in scenario.bands])
-    return np.unique(np.concatenate(([0.0], speeds / scenario.T)))
-
-
 def menu_values(scenario: HighwayScenario, speeds: np.ndarray,
-                rho: np.ndarray, lams: np.ndarray) -> np.ndarray:
+                rho: np.ndarray) -> np.ndarray:
     """Certified value of each of P stacked profiles, -inf where the
-    ambiguity set is empty.
+    ambiguity set is empty: the value :func:`certificate` gives each
+    profile, bit for bit.
 
-    speeds (P, n) are rows of admissible speeds, rho (P, N, n, T) their
-    trajectories and lams the scales of :func:`menu_scales`. The scan
-    over that superset attains each profile's maximum. It runs in the
-    closed form of the module docstring, so its sums are ordered
-    differently from :func:`certificate`'s and a value can differ from
-    it in the last bits.
+    speeds (P, n) are rows of admissible speeds and rho (P, N, n, T) their
+    trajectories. Each profile is scanned at its own breakpoints, zero
+    and its flow weights; repeated scales change no maximum.
     """
     caps = np.empty_like(speeds)
     for e, (seg, band) in enumerate(zip(scenario.segments, scenario.bands)):
         for v in band:
             caps[speeds[:, e] == v, e] = critical_density(seg, v)
-    anchor = _anchor(caps, rho)
-    dist = _box_distance(rho, anchor)
-    mass = anchor.sum(axis=(1, 3)) / rho.shape[1]
-    # (P, L, n): one term per profile, scale and cell.
-    per_cell = np.minimum(lams[:, None], speeds[:, None, :] / scenario.T)
-    per_cell *= mass[:, None, :]
-    totals = per_cell.sum(axis=-1) + lams * (dist[:, None] - scenario.epsilon)
-    values = totals.max(axis=-1)
-    values[scenario.epsilon < dist] = -math.inf
-    return values
+    a = speeds / scenario.T
+    lams = np.concatenate((np.zeros((len(a), 1)), a), axis=1)
+    totals, _ = _dual_totals(a, caps, rho, lams, scenario.epsilon)
+    return totals.max(axis=1)

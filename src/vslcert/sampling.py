@@ -110,6 +110,9 @@ class GeneratorSpec:
             raise ValueError("rho0 lower bound exceeds upper bound")
         if any(lo > hi for lo, hi in zip(self.omega_lo, self.omega_hi)):
             raise ValueError("omega lower bound exceeds upper bound")
+        bounds = zip(self.rho0_lo + self.omega_lo, self.rho0_hi + self.omega_hi)
+        if any(hi - lo == math.inf for lo, hi in bounds):
+            raise ValueError("a bound interval is wider than the float range")
 
 
 def _per_edge_bounds(raw, n: int, path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -193,7 +196,11 @@ def propagate_speeds(
     broadcasts against the draws: (n,) for one profile, or P profiles
     stacked as (P, 1, n), giving trajectories (P, N, n, T) for a
     ``SampleSet``. Each element is computed as :func:`propagate` computes
-    it, so every profile's trajectories keep their bits."""
+    it, so every profile's trajectories keep their bits.
+
+    Raises ValueError when the flows of the trajectories, summed over the
+    cells and steps as every objective sums them, could pass the float
+    range: a finite disturbance can still be too large to propagate."""
     T, h = scenario.T, scenario.h
     if sample.rho0.shape[-1] != scenario.n:
         raise ValueError("sample edge count does not match the scenario")
@@ -203,11 +210,19 @@ def propagate_speeds(
     shape = np.broadcast_shapes(u.shape, rho.shape)
     out = np.empty(shape + (T,))
     inflow = np.zeros(shape)
-    for t in range(T):
-        flow = u * rho
-        inflow[..., 1:] = flow[..., :-1]
-        rho = rho + h * (inflow - flow + sample.omega[..., t])
-        out[..., t] = rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            flow = u * rho
+            inflow[..., 1:] = flow[..., :-1]
+            rho = rho + h * (inflow - flow + sample.omega[..., t])
+            out[..., t] = rho
+        # max and min read out without a temporary; both are nan when an
+        # entry is (from inf - inf), and nan fails the comparison too.
+        peak = max(out.max(), -out.min())
+        bounded = peak * np.max(u) * scenario.n * T < math.inf
+    if not bounded:
+        raise ValueError("propagated densities overflow the float range; "
+                         "the disturbance is too large for this scenario")
     return out
 
 

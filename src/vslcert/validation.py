@@ -1,11 +1,12 @@
 """Independent verification tools.
 
 Three tools live here: the exact evaluator, which scores every
-admissible profile stacked in one propagation and one dual scan per
-chunk (the solver for every menu up to ``DEFAULT_ENUM_CAP`` profiles, and
-the ground truth the MILP search must match), a physical demand/supply
-traffic simulator used for congestion comparisons, and a fresh-sample
-Monte-Carlo check of the certificate's out-of-sample guarantee.
+admissible profile stacked, one propagation and one closed-form
+certificate evaluation per chunk (the solver for every menu up to
+``DEFAULT_ENUM_CAP`` profiles, and the ground truth the MILP search must
+match), a physical demand/supply traffic simulator used for congestion
+comparisons, and a fresh-sample Monte-Carlo check of the certificate's
+out-of-sample guarantee.
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import average_flow, certificate, menu_scales, menu_values
+from .certificate import average_flow, certificate, menu_values
 from .errors import InfeasibleScenarioError
 from .network import HighwayScenario, SpeedProfile, wave_ratio
 from .sampling import (
@@ -42,9 +43,6 @@ DEFAULT_ENUM_CAP = 100_000
 # (profiles x draws x cells x steps); a chunk of profiles never holds
 # more, except that it holds at least one profile.
 ENUM_CHUNK_ELEMENTS = 1 << 18
-# Profiles whose stacked value is this close to the best, relative to
-# max(1, |best|), are re-evaluated one by one to pick the winner.
-NEAR_TIE_REL = 1e-12
 
 
 def profile_count(scenario: HighwayScenario) -> int:
@@ -52,58 +50,47 @@ def profile_count(scenario: HighwayScenario) -> int:
     return math.prod(len(b) for b in scenario.bands)
 
 
-def exact_optimum(scenario: HighwayScenario, samples: SampleSet,
-                  cap: int = DEFAULT_ENUM_CAP):
+def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
     """Evaluate every admissible profile and return (best, result).
 
     result is the winner's ``CertificateResult``; both are None when every
     profile has an empty ambiguity set. All profiles are propagated and
-    scanned stacked, in chunks of at most ``ENUM_CHUNK_ELEMENTS``; the
-    profiles within ``NEAR_TIE_REL`` of the best stacked value are then
-    evaluated again one by one with ``propagate_batch`` and
-    ``certificate`` in product order, so the value, its dual scale and the
-    tie-break to the lexicographically smallest speed vector are those of
-    a loop over every profile. Refuses when the profile count exceeds cap.
+    evaluated stacked, in chunks of at most ``ENUM_CHUNK_ELEMENTS``, with
+    the values :func:`certificate` gives them one by one. The first best
+    in product order wins, so ties go to the lexicographically smallest
+    speed vector; its certificate is then evaluated once for
+    ``lambda_star`` and the scan table. Refuses, before enumerating, when
+    the profile count exceeds ``DEFAULT_ENUM_CAP``.
     """
     total = profile_count(scenario)
-    if total > cap:
+    if total > DEFAULT_ENUM_CAP:
         raise ValueError(
-            f"{total} admissible profiles exceed the enumeration cap {cap}; "
-            "use the iterative search for instances this large"
+            f"{total} admissible profiles exceed the enumeration cap "
+            f"{DEFAULT_ENUM_CAP}; use the iterative search for instances this large"
         )
-    combos = list(itertools.product(*scenario.bands))
-    speeds = np.array(combos, dtype=float)
-    lams = menu_scales(scenario)
-    per_profile = samples.rho0.size * scenario.T
-    step = max(1, ENUM_CHUNK_ELEMENTS // per_profile)
+    speeds = np.array(list(itertools.product(*scenario.bands)), dtype=float)
+    step = max(1, ENUM_CHUNK_ELEMENTS // (samples.rho0.size * scenario.T))
     values = np.concatenate([
         menu_values(scenario, chunk,
-                    propagate_speeds(scenario, chunk[:, None, :], samples), lams)
+                    propagate_speeds(scenario, chunk[:, None, :], samples))
         for chunk in (speeds[i:i + step] for i in range(0, total, step))
     ])
-    top = values.max()
-    if top == -math.inf:
+    i = int(np.argmax(values))
+    if values[i] == -math.inf:
         return None, None
-    near = np.flatnonzero(values >= top - NEAR_TIE_REL * max(1.0, abs(top)))
-    best = result = None
-    for i in near:
-        profile = scenario.speed_profile(combos[i])
-        cert = certificate(scenario, profile,
-                           propagate_batch(scenario, profile, samples))
-        if cert.finite and (result is None or cert.value > result.value):
-            best, result = profile, cert
-    return best, result
+    best = scenario.speed_profile(speeds[i])
+    return best, certificate(scenario, best, propagate_batch(scenario, best, samples))
 
 
-def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet,
-                        cap: int = DEFAULT_ENUM_CAP):
+def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
     """Enumerate every admissible profile and return (best, value).
 
     Profiles whose ambiguity set is empty are skipped. Ties go to the
     lexicographically smallest speed vector. Refuses when the product of
-    per-edge menu sizes exceeds cap; use the iterative search instead.
+    per-edge menu sizes exceeds ``DEFAULT_ENUM_CAP``; use the iterative
+    search instead.
     """
-    best, result = exact_optimum(scenario, samples, cap)
+    best, result = exact_optimum(scenario, samples)
     if best is None:
         raise InfeasibleScenarioError(
             "every admissible profile has an empty ambiguity set; "
@@ -171,10 +158,6 @@ def simulate_ctm(scenario: HighwayScenario, u,
 class ValidationConfig:
     n_val: int = 1000
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n_val < 1:
-            raise ValueError("n_val must be at least 1")
 
 
 @dataclass(frozen=True)

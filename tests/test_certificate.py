@@ -16,7 +16,6 @@ from vslcert.certificate import (
     certificate,
     component_min,
     flow_weights,
-    menu_scales,
     menu_values,
 )
 from vslcert.network import HighwayScenario, SegmentParams, critical_density
@@ -212,18 +211,21 @@ def stacked_menus(draw):
 @given(stacked_menus())
 def test_menu_values_closed_form_matches_component_sums(menu):
     sc, profiles, speeds, rho, dists = menu
-    lams = menu_scales(sc)
-    values = menu_values(sc, speeds, rho, lams)
+    values = menu_values(sc, speeds, rho)
     for profile, r, dist, value in zip(profiles, rho, dists, values):
+        # The stacked evaluation gives each profile its own value bit for bit.
+        cert = certificate(sc, profile, TrajectoryBatch(rho=r, u=profile.u))
         if dist > sc.epsilon:
+            assert cert.status == STATUS_EMPTY
             assert value == -math.inf
             continue
+        assert value == cert.value
         a = profile.as_array() / sc.T
         caps = sc.critical_densities(profile)
         ref = max(
             sum(component_min(a[e], caps[e], r[l, e, t], lam)
                 for l, e, t in np.ndindex(r.shape)) / r.shape[0]
             - lam * sc.epsilon
-            for lam in lams
+            for lam in np.concatenate(([0.0], a))
         )
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))

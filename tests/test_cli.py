@@ -4,13 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vslcert
 from vslcert.cli import main
-from vslcert.errors import NumericalError
+from vslcert.errors import InfeasibleScenarioError, NumericalError
+from vslcert.network import load_scenario, read_config
 
 DATA = Path(__file__).parent / "data"
 DESK = str(DATA / "desk2.json")
@@ -112,6 +116,12 @@ def test_budgeted_solve_reruns_identically(tmp_path):
     assert header["termination"] == "enumerated"
     assert header["j_hat"] == bf_header["j_star"]
     assert [r["u"] for r in rows] == [r["u"] for r in bf_rows]
+    # The winner certified on its own writes the same value string.
+    rc = main(["certify", "--scenario", HIGHWAY, "--out", str(tmp_path / "cert"),
+               "--seed", "0", "--speeds", ",".join(r["u"] for r in rows)])
+    assert rc == 0
+    _, cert_rows = read_table(tmp_path / "cert" / "certificate.csv")
+    assert {r["key"]: r["value"] for r in cert_rows}["value"] == header["j_hat"]
 
 
 def test_commands_start_without_scipy(tmp_path):
@@ -290,3 +300,75 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
     rc = main(["solve", "--scenario", DESK, "--out", str(tmp_path),
                "--count", "2"])
     assert rc == 4
+
+
+@pytest.mark.parametrize("disturbance", [{"rho0": 1e307}, {"omega": 1.7e308}])
+def test_overflowing_disturbance_is_config_error(tmp_path, capsys, disturbance):
+    # Finite draws whose propagation overflows must not yield a NaN result.
+    with open(HIGHWAY) as fh:
+        cfg = json.load(fh)
+    cfg["disturbance"].update(disturbance)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    common = ["--scenario", str(bad), "--out", str(out)]
+    speeds = ["--speeds", "120,120,120,80,120"]
+    for args in (["simulate", *common, *speeds], ["certify", *common, *speeds],
+                 ["solve", *common], ["brute-force", *common],
+                 ["validate", *common, *speeds, "--jhat", "1e5", "--nval", "20"]):
+        assert main(args) == 2, args[0]
+        assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def number(usual):
+    """Any finite float, or the config's own value half of the time."""
+    return st.one_of(st.just(usual), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def bounds(draw, usual):
+    """A disturbance bound: a number or an ordered {lo, hi} pair."""
+    if draw(st.booleans()):
+        return draw(number(usual))
+    lo, hi = sorted((draw(number(usual)), draw(number(usual))))
+    return {"lo": lo, "hi": hi}
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """The corridor with rho0, omega, epsilon and gamma anywhere in the
+    finite float range. The speed grid is sorted, so that most draws get
+    past the check that it increases."""
+    cfg = read_config(HIGHWAY)
+    cfg["disturbance"] = {"rho0": bounds(draw, 260.0), "omega": bounds(draw, 2.0e4)}
+    cfg["epsilon"] = draw(number(1000.0))
+    cfg["gamma"] = sorted(draw(st.lists(number(80.0), min_size=1, max_size=3,
+                                        unique=True)))
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_configs())
+@example(dict(read_config(HIGHWAY), epsilon=1e308))  # lam * epsilon overflows
+def test_certify_fuzzed_input_exits_or_gives_number(cfg):
+    try:
+        scenario = load_scenario(cfg)
+        speeds = [band[-1] for band in scenario.bands]
+    except (ValueError, InfeasibleScenarioError):  # certify must refuse it too
+        speeds = [cfg["gamma"][0]] * cfg["n"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["certify", "--scenario", str(path), "--out", tmp,
+                   "--speeds=" + ",".join(repr(float(v)) for v in speeds)])
+        if rc in (2, 3):
+            return
+        assert rc == 0
+        _, rows = read_table(Path(tmp) / "certificate.csv")
+    table = {r["key"]: r["value"] for r in rows}
+    value = float(table["value"])
+    if table["status"] == "finite":
+        assert math.isfinite(value), table
+    else:
+        assert table["status"] == "invalid_empty_ambiguity"
+        assert value == -math.inf, table

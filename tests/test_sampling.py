@@ -206,6 +206,13 @@ def test_generator_rejects_crossed_bounds():
                       omega_lo=(0.0,), omega_hi=(1.0,))
 
 
+def test_generator_rejects_bounds_wider_than_the_float_range():
+    # hi - lo would overflow in every draw
+    with pytest.raises(ValueError, match="float range"):
+        GeneratorSpec(rho0_lo=(0.0,), rho0_hi=(1.0,),
+                      omega_lo=(-1e308,), omega_hi=(1e308,))
+
+
 def test_load_generator_accepts_scalar_and_objects():
     gen = load_generator({"disturbance": {"rho0": 260,
                                           "omega": {"lo": -1.0, "hi": 2.0}}}, 3)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import desk
-from vslcert.certificate import average_flow, certificate
+from vslcert.certificate import average_flow, certificate, menu_values
+from vslcert.cli import main
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import (
     HighwayScenario,
@@ -24,6 +25,7 @@ from vslcert.sampling import (
     load_generator,
     propagate,
     propagate_batch,
+    propagate_speeds,
 )
 from vslcert.validation import (
     UNCONTROLLED,
@@ -35,6 +37,7 @@ from vslcert.validation import (
 )
 
 BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
+HIGHWAY = Path(__file__).resolve().parent / "data" / "highway5.json"
 
 
 def reference_propagate(sc, prof, sample):
@@ -137,15 +140,26 @@ def test_brute_force_single_profile():
     assert math.isfinite(value)
 
 
-def test_brute_force_respects_enumeration_cap():
-    rng = np.random.default_rng(7)
-    sc, gen = desk.random_scenario(rng, n=2, T=1, menu_size=3)
-    samples = desk.desk_samples(sc, gen, 1, 0)
-    sizes = [len(b) for b in sc.bands]
-    if math.prod(sizes) < 2:
-        pytest.skip("band collapsed")
-    with pytest.raises(ValueError, match="cap"):
-        brute_force_optimum(sc, samples, cap=1)
+def test_brute_force_respects_enumeration_cap(tmp_path, monkeypatch, capsys):
+    # Eight plain corridor cells admit all five speeds: 5**8 = 390,625
+    # profiles, past the cap of 100,000.
+    cfg = read_config(HIGHWAY)
+    cfg["n"], cfg["L_km"] = 8, 16.0
+    cfg["segments"] = [cfg["segments"][0]] * 8
+    omega = cfg["disturbance"]["omega"]
+    cfg["disturbance"]["omega"] = omega[:1] + omega[1:2] * 7
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+
+    def enumerated(*args):
+        raise AssertionError("profiles were propagated past the cap")
+
+    monkeypatch.setattr("vslcert.validation.propagate_speeds", enumerated)
+    rc = main(["brute-force", "--scenario", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "390625 admissible profiles exceed the enumeration cap 100000" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "brute_force.csv").exists()
 
 
 def test_brute_force_all_sentinel_raises():
@@ -179,6 +193,24 @@ def test_exact_optimum_matches_reference_loop():
             continue
         compared += 1
     assert compared >= 30
+
+
+def test_menu_values_match_certificate_on_corridor():
+    # Corridor profiles stacked in one call keep the value their own
+    # certificate gives them, to the last bit; with T = 20 steps and nine
+    # draws each profile's sums are long enough for numpy's pairwise
+    # summation to group their terms. Every
+    # 7th profile is checked; 7 is coprime to the band sizes 5 and 3, so
+    # every speed of every cell is among them.
+    cfg = read_config(HIGHWAY)
+    sc = load_scenario(cfg)
+    samples = generate_samples(load_generator(cfg, sc.n), 9, sc.T, 4)
+    combos = list(itertools.product(*sc.bands))
+    speeds = np.array(combos, dtype=float)
+    values = menu_values(sc, speeds, propagate_speeds(sc, speeds[:, None, :], samples))
+    for combo, value in zip(combos[::7], values[::7]):
+        prof = sc.speed_profile(combo)
+        assert value == certificate(sc, prof, propagate_batch(sc, prof, samples)).value
 
 
 def test_exact_optimum_all_sentinel():
@@ -371,6 +403,13 @@ def test_validate_degenerate_point_mass():
     assert report.guarantee
 
 
-def test_validation_config_validation():
-    with pytest.raises(ValueError):
-        ValidationConfig(n_val=0)
+def test_validation_config_validation(tmp_path):
+    rng = np.random.default_rng(17)
+    sc, gen = desk.random_scenario(rng, n=1, T=2, menu_size=1)
+    prof = sc.speed_profile([sc.bands[0][0]])
+    with pytest.raises(ValueError, match="at least 1"):
+        validate(sc, gen, prof, 0.0, ValidationConfig(n_val=0))
+    rc = main(["validate", "--scenario", str(HIGHWAY), "--out", str(tmp_path),
+               "--speeds", "120,120,120,80,120", "--jhat", "1e5", "--nval", "0"])
+    assert rc == 2
+    assert not (tmp_path / "summary.csv").exists()
