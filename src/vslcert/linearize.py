@@ -1,15 +1,19 @@
 """Mixed-binary reformulation of the certified speed-profile search.
 
-Two model families are assembled here. The upper model makes the speed
+Two model families are assembled here, both in reduced form: no
+variable is defined by an equality, and a row that a variable bound
+implies is written as that bound. The upper model makes the speed
 profile a decision: each edge picks one entry of the speed menu through
 binary indicators, trajectory and dual bilinearities are linearized
-exactly with Glover rows, and the objective's price-times-density
-products are relaxed with McCormick envelopes, so its optimum upper
-bounds the best certificate over all admissible profiles. The search
-builds it once and appends one no-good row per visited assignment
-(:func:`exclude`). The lower model fixes a profile and evaluates the
-certificate exactly as a linear program; its value matches the
-closed-form certificate scan.
+exactly with three Glover rows each, and the objective's
+price-times-density products are relaxed with McCormick envelopes, so
+its optimum upper bounds the best certificate over all admissible
+profiles. The price ``nu`` enters directly: its sign row is the bound
+``nu >= 0``, which with ``lam >= 0`` also implies ``nu >= -lam``. The
+search builds the model once and appends one no-good row per visited
+assignment (:func:`exclude`). The lower model fixes a profile and
+evaluates the certificate exactly as a linear program over ``lam``,
+``eta`` and ``nu`` alone; its value matches the closed-form certificate.
 
 Indexing convention: trajectory-indexed quantities (densities, dual
 multipliers) live on steps t = 1..T and are stored 0-based; flow
@@ -40,30 +44,22 @@ class SearchProblem:
     def __post_init__(self):
         if self.samples.n != self.scenario.n:
             raise ValueError("sample edge count does not match scenario")
-        if self.samples.horizon != self.scenario.T:
-            raise ValueError("sample horizon does not match scenario")
+        if self.samples.horizon < self.scenario.T:
+            raise ValueError("sample horizon is shorter than the scenario's T")
 
 
-def glover_rows(mb: ModelBuilder, x: int, g_cols, g_coefs,
-                g_lo: float, g_hi: float, z: int | None = None,
-                block: str = "glover") -> int:
-    """Emit the four rows that force z = x * g for binary x.
+def glover_rows(mb: ModelBuilder, x: int, g: int, g_hi: float, z: int,
+                block: str = "glover") -> None:
+    """Emit the three rows that force z = x * g for binary x.
 
-    g is the linear expression sum(g_coefs * vars[g_cols]) with known
-    range [g_lo, g_hi]. Returns the index of z (created when not given).
+    g is a variable with range [0, g_hi], and z a variable whose lower
+    bound 0 stands in for the fourth Glover row, z >= 0 * x.
     """
-    if not (math.isfinite(g_lo) and math.isfinite(g_hi)) or g_lo > g_hi:
-        raise ValueError("glover_rows needs finite bounds g_lo <= g_hi")
-    if z is None:
-        z = mb.add_var(min(g_lo, 0.0), max(g_hi, 0.0))
-    g_cols = list(g_cols)
-    g_coefs = [float(c) for c in g_coefs]
-    neg = [-c for c in g_coefs]
+    if not (math.isfinite(g_hi) and g_hi >= 0.0):
+        raise ValueError("glover_rows needs a finite bound g_hi >= 0")
     mb.add_row([z, x], [1.0, -g_hi], "<=", 0.0, block=block)
-    mb.add_row([z, x], [1.0, -g_lo], ">=", 0.0, block=block)
-    mb.add_row([z, *g_cols, x], [1.0, *neg, -g_lo], "<=", -g_lo, block=block)
-    mb.add_row([z, *g_cols, x], [1.0, *neg, -g_hi], ">=", -g_hi, block=block)
-    return z
+    mb.add_row([z, g], [1.0, -1.0], "<=", 0.0, block=block)
+    mb.add_row([z, g, x], [1.0, -1.0, -g_hi], ">=", -g_hi, block=block)
 
 
 def price_bound(scenario: HighwayScenario, e: int) -> float:
@@ -84,7 +80,6 @@ class UpperModel:
     y_index: np.ndarray  # (N, n, m, T), step t stored at t
     z_index: np.ndarray  # (N, n, m, T), step t stored at t-1
     eta_index: np.ndarray  # (N, n, T)
-    mu_index: np.ndarray  # (N, n, T)
     nu_index: np.ndarray  # (N, n, T)
     s_index: np.ndarray  # (N, n, T)
 
@@ -100,8 +95,6 @@ class LowerModel:
     lam_index: int
     eta_index: np.ndarray  # (N, n, T)
     nu_index: np.ndarray  # (N, n, T)
-    mu_index: np.ndarray  # (N, n, T)
-    z_index: np.ndarray  # (N, n, m, T)
 
 
 def _menu_mask(scenario: HighwayScenario) -> np.ndarray:
@@ -135,7 +128,6 @@ def build_upper(problem: SearchProblem) -> UpperModel:
     y = np.empty((N, n, m, T), dtype=int)
     z = np.empty((N, n, m, T), dtype=int)
     eta = np.empty((N, n, T), dtype=int)
-    mu = np.empty((N, n, T), dtype=int)
     nu = np.empty((N, n, T), dtype=int)
     s = np.empty((N, n, T), dtype=int)
     for l in range(N):
@@ -145,9 +137,8 @@ def build_upper(problem: SearchProblem) -> UpperModel:
             for t in range(T):
                 rho[l, e, t] = mb.add_var(-math.inf, math.inf)
                 eta[l, e, t] = mb.add_var(0.0, eta_bar, obj=slope)
-                mu[l, e, t] = mb.add_var(-math.inf, math.inf)
-                nu[l, e, t] = mb.add_var(-math.inf, math.inf)
-                s[l, e, t] = mb.add_var(-math.inf, math.inf, obj=1.0 / N)
+                nu[l, e, t] = mb.add_var(0.0, math.inf)
+                s[l, e, t] = mb.add_var(0.0, math.inf, obj=1.0 / N)
                 for i in range(m):
                     y[l, e, i, t] = mb.add_var(0.0, seg.rho_bar)
                     z[l, e, i, t] = mb.add_var(0.0, eta_bar)
@@ -166,9 +157,8 @@ def build_upper(problem: SearchProblem) -> UpperModel:
                            [1.0, -rho0[l, e]], "=", 0.0, block="y0")
             for t in range(1, T):
                 for i in range(m):
-                    glover_rows(mb, x[e, i], [rho[l, e, t - 1]], [1.0],
-                                0.0, seg.rho_bar, z=y[l, e, i, t],
-                                block="glover_y")
+                    glover_rows(mb, x[e, i], rho[l, e, t - 1], seg.rho_bar,
+                                y[l, e, i, t], block="glover_y")
                 mb.add_row([*y[l, e, :, t], rho[l, e, t - 1]],
                            [*([1.0] * m), -1.0], "=", 0.0, block="sum_y")
             for t in range(T):
@@ -185,23 +175,14 @@ def build_upper(problem: SearchProblem) -> UpperModel:
                 rhs = h * omega[l, e, t] + (rho0[l, e] if t == 0 else 0.0)
                 mb.add_row(cols, coefs, "=", rhs, block="dynamics")
                 for i in range(m):
-                    glover_rows(mb, x[e, i], [eta[l, e, t]], [1.0],
-                                0.0, eta_bar, z=z[l, e, i, t],
-                                block="glover_z")
-                mb.add_row([*z[l, e, :, t], eta[l, e, t], mu[l, e, t]],
-                           [*(shock * g for g in gamma), seg.f_bar, -1.0],
+                    glover_rows(mb, x[e, i], eta[l, e, t], eta_bar,
+                                z[l, e, i, t], block="glover_z")
+                mb.add_row([*z[l, e, :, t], eta[l, e, t], nu[l, e, t], *x[e]],
+                           [*(shock * g for g in gamma), seg.f_bar, -1.0,
+                            *(g / T for g in gamma)],
                            ">=", 0.0, block="dual_feas")
-                mb.add_row([nu[l, e, t], mu[l, e, t], *x[e]],
-                           [1.0, -1.0, *(-g / T for g in gamma)],
-                           "=", 0.0, block="nu_link")
                 mb.add_row([nu[l, e, t], lam], [1.0, -1.0], "<=", 0.0,
                            block="norm_cap")
-                mb.add_row([nu[l, e, t], lam], [1.0, 1.0], ">=", 0.0,
-                           block="norm_cap")
-                mb.add_row([mu[l, e, t], *x[e]],
-                           [1.0, *(g / T for g in gamma)],
-                           ">=", 0.0, block="nu_sign")
-                mb.add_row([s[l, e, t]], [1.0], ">=", 0.0, block="mccormick")
                 mb.add_row([s[l, e, t], nu[l, e, t], rho[l, e, t]],
                            [1.0, -seg.rho_bar, -nu_cap],
                            ">=", -nu_cap * seg.rho_bar, block="mccormick")
@@ -213,7 +194,7 @@ def build_upper(problem: SearchProblem) -> UpperModel:
     model = mb.build()
     return UpperModel(problem=problem, model=model, x_index=x, lam_index=lam,
                       rho_index=rho, y_index=y, z_index=z, eta_index=eta,
-                      mu_index=mu, nu_index=nu, s_index=s)
+                      nu_index=nu, s_index=s)
 
 
 def exclude(upper: UpperModel, assignment) -> None:
@@ -235,50 +216,41 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
                 batch: TrajectoryBatch | None = None) -> LowerModel:
     """Assemble the fixed-profile certificate LP.
 
-    The multiplier cap is deliberately absent here: when the radius is
-    too small for the sample cloud the LP must be unbounded, mirroring
-    the certificate's empty-ambiguity sentinel.
+    With the profile fixed, the only active Glover product of each
+    (sample, edge, step) equals ``eta``, so the dual feasibility row reads
+    ``eta_coefficient(seg, u) * eta - nu >= -u / T``. The multiplier cap
+    is deliberately absent here: when the radius is too small for the
+    sample cloud the LP must be unbounded, mirroring the certificate's
+    empty-ambiguity sentinel.
     """
     sc = problem.scenario
     if batch is None:
         batch = propagate_batch(sc, profile, problem.samples)
     elif batch.u != profile.u:
         raise ValueError("trajectory batch was propagated under another profile")
-    n, T, m = sc.n, sc.T, len(sc.gamma)
+    n, T = sc.n, sc.T
     N = problem.samples.count
-    active = [sc.gamma.index(profile.u[e]) for e in range(n)]
     mb = ModelBuilder()
 
     lam = mb.add_var(0.0, math.inf, obj=-sc.epsilon)
     eta = np.empty((N, n, T), dtype=int)
-    mu = np.empty((N, n, T), dtype=int)
     nu = np.empty((N, n, T), dtype=int)
-    z = np.empty((N, n, m, T), dtype=int)
     for l in range(N):
         for e in range(n):
             seg = sc.segments[e]
             slope = -seg.f_bar * seg.rho_bar / N
             for t in range(T):
                 eta[l, e, t] = mb.add_var(0.0, math.inf, obj=slope)
-                mu[l, e, t] = mb.add_var(-math.inf, math.inf)
                 nu[l, e, t] = mb.add_var(
                     -math.inf, math.inf, obj=batch.rho[l, e, t] / N)
-                for i in range(m):
-                    hi = math.inf if i == active[e] else 0.0
-                    z[l, e, i, t] = mb.add_var(0.0, hi)
 
     for l in range(N):
         for e in range(n):
-            seg = sc.segments[e]
-            shock = seg.rho_bar - seg.f_bar / seg.u_bar
+            u = profile.u[e]
+            k = eta_coefficient(sc.segments[e], u)
             for t in range(T):
-                mb.add_row([z[l, e, active[e], t], eta[l, e, t]],
-                           [1.0, -1.0], "=", 0.0, block="z_fix")
-                mb.add_row([*z[l, e, :, t], eta[l, e, t], mu[l, e, t]],
-                           [*(shock * g for g in sc.gamma), seg.f_bar, -1.0],
-                           ">=", 0.0, block="dual_feas")
-                mb.add_row([nu[l, e, t], mu[l, e, t]], [1.0, -1.0],
-                           "=", profile.u[e] / T, block="nu_link")
+                mb.add_row([eta[l, e, t], nu[l, e, t]], [k, -1.0],
+                           ">=", -u / T, block="dual_feas")
                 mb.add_row([nu[l, e, t], lam], [1.0, -1.0], "<=", 0.0,
                            block="norm_cap")
                 mb.add_row([nu[l, e, t], lam], [1.0, 1.0], ">=", 0.0,
@@ -286,8 +258,7 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
 
     model = mb.build()
     return LowerModel(problem=problem, profile=profile, batch=batch,
-                      model=model, lam_index=lam, eta_index=eta,
-                      nu_index=nu, mu_index=mu, z_index=z)
+                      model=model, lam_index=lam, eta_index=eta, nu_index=nu)
 
 
 def decode_profile(upper: UpperModel, solution: LpSolution) -> SpeedProfile:

@@ -93,8 +93,8 @@ class LpModel:
         return self.A.shape[0]
 
     def add_row(self, cols, coefs, sense: str, rhs: float, block: str = "other") -> int:
-        """Append one row in place, checked, scaled and bounded as the
-        default :meth:`ModelBuilder.build` does."""
+        """Append one row in place, checked, scaled and bounded as
+        :meth:`ModelBuilder.build` does."""
         import scipy.sparse as sp
 
         cols, coefs = _check_row(cols, coefs, sense, rhs, self.nvars)
@@ -158,22 +158,15 @@ class ModelBuilder:
         self._blocks.append(block)
         return len(self._rhs) - 1
 
-    def build(self, scale: bool = True) -> LpModel:
+    def build(self) -> LpModel:
         import scipy.sparse as sp
 
         n = self.nvars
         m = len(self._rhs)
-        data: list[float] = []
-        indices: list[int] = []
-        indptr = [0]
-        scales = np.ones(m)
-        for i in range(m):
-            cols, coefs = self._rows_cols[i], self._rows_coefs[i]
-            if scale:
-                scales[i] = _row_scale(coefs)
-            data.extend(c * scales[i] for c in coefs)
-            indices.extend(cols)
-            indptr.append(len(indices))
+        scales = np.array([_row_scale(coefs) for coefs in self._rows_coefs])
+        data = [c * s for s, coefs in zip(scales, self._rows_coefs) for c in coefs]
+        indices = [j for cols in self._rows_cols for j in cols]
+        indptr = np.cumsum([0, *map(len, self._rows_cols)])
         A = sp.csr_matrix((data, indices, indptr), shape=(m, n))
         A.sum_duplicates()
         lo, hi = _row_bounds(np.array(self._sense), np.array(self._rhs) * scales)

@@ -79,7 +79,9 @@ def critical_density(seg: SegmentParams, u: float) -> float:
 
 
 def eta_coefficient(seg: SegmentParams, u: float) -> float:
-    """Coefficient of the dual slack in the no-congestion feasibility row.
+    """Coefficient of the multiplier ``eta`` in the no-congestion dual
+    feasibility row under speed limit ``u``: the row of the fixed-profile
+    certificate LP reads ``eta_coefficient(seg, u) * eta - nu >= -u / T``.
 
     Equals ``f_bar + u * (rho_bar - f_bar / u_bar)``, which simplifies to
     ``f_bar * rho_bar / critical_density(seg, u)``.

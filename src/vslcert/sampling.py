@@ -285,7 +285,9 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
         with open(rho0_path, newline="") as fh:
             for row in csv.DictReader(fh):
                 l, e = int(row["l"]), int(row["e"])
-                rho0_rows.setdefault(l, {})[e] = _finite(row["rho0"], l)
+                if e in rho0_rows.setdefault(l, {}):
+                    raise ValueError(f"sample {l}: repeated row for edge {e}")
+                rho0_rows[l][e] = _finite(row["rho0"], l)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(rho0_path), f"bad sample file: {exc}") from exc
     omega_rows: dict[int, dict[tuple[int, int], float]] = {}
@@ -295,7 +297,10 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
                 l, e, t = int(row["l"]), int(row["e"]), int(row["t"])
                 if t < 0:
                     raise ValueError(f"sample {l}: negative step {t}")
-                omega_rows.setdefault(l, {})[(e, t)] = _finite(row["omega"], l)
+                if (e, t) in omega_rows.setdefault(l, {}):
+                    raise ValueError(
+                        f"sample {l}: repeated row for edge {e}, step {t}")
+                omega_rows[l][(e, t)] = _finite(row["omega"], l)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(str(omega_path), f"bad sample file: {exc}") from exc
     if sorted(rho0_rows) != sorted(omega_rows) or not rho0_rows:

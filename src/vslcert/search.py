@@ -90,9 +90,14 @@ def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
                time_limit: float | None = None) -> SolveReport:
     """Return the certified best profile: exact by enumeration when the
     menu has at most ``DEFAULT_ENUM_CAP`` profiles, else from
-    :func:`cut_and_bound`, to which gap_eps and time_limit apply."""
-    if gap_eps <= 0:
-        raise ValueError("gap_eps must be positive")
+    :func:`cut_and_bound`, to which gap_eps and time_limit apply. Both
+    are checked on every menu: each must be finite and positive, and
+    time_limit may also be None for no budget."""
+    if not (math.isfinite(gap_eps) and gap_eps > 0):
+        raise ValueError(f"gap_eps must be finite and positive, got {gap_eps!r}")
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
+        raise ValueError(
+            f"time_limit must be finite and positive, got {time_limit!r}")
     if profile_count(problem.scenario) > DEFAULT_ENUM_CAP:
         return cut_and_bound(problem, gap_eps, time_limit)
     start = time.monotonic()

@@ -182,7 +182,10 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
     compares their mean objective over the training horizon T against
     j_hat, and runs the physical simulator over all 3T steps for the mean
     density (n, 3T). Every draw is propagated and simulated in one pass.
+    A non-finite j_hat raises ValueError: no run could check it.
     """
+    if not math.isfinite(j_hat):
+        raise ValueError(f"j_hat must be finite, got {j_hat!r}")
     horizon = 3 * scenario.T
     fresh = generate_samples(generator, cfg.n_val, horizon,
                              cfg.seed + VALIDATION_SEED_OFFSET)

@@ -205,6 +205,49 @@ def test_sample_csv_pair_round_trips(tmp_path):
                                                   rel=1e-12)
 
 
+def test_longer_sample_file_solves_like_brute_force(tmp_path):
+    # A written draw longer than the scenario's T is truncated to T by
+    # every command that reads it, as propagation truncates it.
+    from vslcert.sampling import generate_samples, load_generator, write_samples
+
+    cfg = read_config(HIGHWAY)
+    scenario = load_scenario(cfg)
+    gen = load_generator(cfg, scenario.n)
+    samples = generate_samples(gen, 3, scenario.T + 5, seed=0)
+    prefix = str(tmp_path / "long")
+    write_samples(samples, prefix)
+    for command in ("solve", "brute-force"):
+        rc = main([command, "--scenario", HIGHWAY, "--samples", prefix,
+                   "--out", str(tmp_path / command)])
+        assert rc == 0
+    header, rows = read_table(tmp_path / "solve" / "result.csv")
+    bf_header, bf_rows = read_table(tmp_path / "brute-force" / "brute_force.csv")
+    assert header["termination"] == "enumerated"
+    assert header["j_hat"] == bf_header["j_star"]
+    assert [r["u"] for r in rows] == [r["u"] for r in bf_rows]
+
+
+@pytest.mark.parametrize("jhat", ["nan", "inf", "-inf"])
+def test_validate_rejects_non_finite_jhat(tmp_path, capsys, jhat):
+    rc = main(["validate", "--scenario", HIGHWAY, "--out", str(tmp_path),
+               "--speeds", "120,120,120,80,120", f"--jhat={jhat}", "--nval", "5"])
+    assert rc == 2
+    assert "j_hat must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--gap", "nan"), ("--gap", "-1e-4"), ("--time-limit", "inf"),
+    ("--time-limit", "0"),
+])
+def test_solve_rejects_bad_budget(tmp_path, capsys, flag, value):
+    rc = main(["solve", "--scenario", DESK, "--out", str(tmp_path),
+               "--count", "2", f"{flag}={value}"])
+    assert rc == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+    assert not (tmp_path / "result.csv").exists()
+
+
 def test_missing_scenario_is_config_error(tmp_path):
     rc = main(["certify", "--scenario", str(tmp_path / "absent.json"),
                "--out", str(tmp_path), "--speeds", "0.4,0.8"])

@@ -67,32 +67,35 @@ def test_glover_rows_enumerate_exact():
                 mb = ModelBuilder()
                 x = mb.add_var(0.0, 1.0, binary=True)
                 g = mb.add_var(0.0, 5.0)
+                z = mb.add_var(0.0, 5.0, obj=sense)
                 mb.add_row([x], [1.0], "=", x_val)
                 mb.add_row([g], [1.0], "=", g_val)
-                z = glover_rows(mb, x, [g], [1.0], 0.0, 5.0)
-                model = mb.build()
-                model.obj[z] = sense
-                sol = solve_milp(model)
+                glover_rows(mb, x, g, 5.0, z)
+                sol = solve_milp(mb.build())
                 assert sol.status == OPTIMAL
                 assert sol.x[z] == pytest.approx(x_val * g_val, abs=1e-9)
 
 
-def test_glover_block_is_four_rows():
+def test_glover_block_is_three_rows():
     mb = ModelBuilder()
     x = mb.add_var(0.0, 1.0, binary=True)
     g = mb.add_var(0.0, 3.0)
-    glover_rows(mb, x, [g], [1.0], 0.0, 3.0, block="pair")
-    assert mb.build().block_rows["pair"] == 4
+    z = mb.add_var(0.0, 3.0)
+    glover_rows(mb, x, g, 3.0, z, block="pair")
+    model = mb.build()
+    assert model.block_rows["pair"] == 3
+    assert model.A.nnz == 7 and (model.A.data != 0).all()
 
 
 def test_glover_rejects_bad_bounds():
     mb = ModelBuilder()
     x = mb.add_var(0.0, 1.0, binary=True)
     g = mb.add_var(0.0, 1.0)
+    z = mb.add_var(0.0, 1.0)
     with pytest.raises(ValueError):
-        glover_rows(mb, x, [g], [1.0], 2.0, 1.0)
+        glover_rows(mb, x, g, -1.0, z)
     with pytest.raises(ValueError):
-        glover_rows(mb, x, [g], [1.0], 0.0, math.inf)
+        glover_rows(mb, x, g, math.inf, z)
 
 
 def test_price_bound_formula():
@@ -110,18 +113,36 @@ def test_upper_model_block_counts():
     upper = build_upper(problem)
     exclude(upper, (0, 0))
     rows = upper.model.block_rows
-    assert rows["encoding"] == n
-    assert rows["y0"] == N * n * m
-    assert rows["glover_y"] == 4 * N * n * m * (T - 1)
-    assert rows["sum_y"] == N * n * (T - 1)
-    assert rows["dynamics"] == N * n * T
-    assert rows["glover_z"] == 4 * N * n * m * T
-    assert rows["dual_feas"] == N * n * T
-    assert rows["nu_link"] == N * n * T
-    assert rows["norm_cap"] == 2 * N * n * T
-    assert rows["nu_sign"] == N * n * T
-    assert rows["mccormick"] == 4 * N * n * T
-    assert rows["cut"] == 1
+    assert rows == {
+        "encoding": n,
+        "y0": N * n * m,
+        "glover_y": 3 * N * n * m * (T - 1),
+        "sum_y": N * n * (T - 1),
+        "dynamics": N * n * T,
+        "glover_z": 3 * N * n * m * T,
+        "dual_feas": N * n * T,
+        "norm_cap": N * n * T,
+        "mccormick": 3 * N * n * T,
+        "cut": 1,
+    }
+    # no defined variable and no stored zero: the price nu and the
+    # McCormick product s carry their sign as bounds
+    assert upper.model.nvars == n * m + 1 + N * n * T * (4 + 2 * m)
+    assert (upper.model.A.data != 0).all()
+    assert (upper.model.lb[upper.nu_index] == 0).all()
+    assert (upper.model.lb[upper.s_index] == 0).all()
+
+
+def test_lower_model_block_counts():
+    problem = small_problem(7, n=2, T=3, menu_size=2, count=2)
+    sc = problem.scenario
+    n, T, N = sc.n, sc.T, problem.samples.count
+    combo = admissible_assignments(sc)[0]
+    profile = sc.speed_profile([sc.gamma[i] for i in combo])
+    lower = build_lower(problem, profile)
+    assert lower.model.block_rows == {"dual_feas": N * n * T,
+                                      "norm_cap": 2 * N * n * T}
+    assert lower.model.nvars == 1 + 2 * N * n * T
 
 
 def test_cut_excludes_exactly_its_assignment():
@@ -317,5 +338,11 @@ def test_search_problem_validates_shapes():
     other = small_problem(97, n=1, T=2)
     with pytest.raises(ValueError):
         SearchProblem(problem.scenario, other.samples)
+    # a longer draw is truncated to the scenario's T, a shorter one refused
+    longer = small_problem(89, n=2, T=4).samples
+    shorter = small_problem(89, n=2, T=1).samples
+    assert SearchProblem(problem.scenario, longer).samples is longer
+    with pytest.raises(ValueError, match="shorter"):
+        SearchProblem(problem.scenario, shorter)
     with pytest.raises(ValueError, match="epsilon"):
         dataclasses.replace(problem.scenario, epsilon=-0.5)

@@ -306,7 +306,13 @@ def test_read_samples_rejects_missing_entries(tmp_path):
      r"s_omega\.csv: .*sample 1: non-finite value 'inf'"),
     ((1, 2), "1,1,0,1.0\n1,1,1,2.0\n2,1,0,nan\n2,1,1,2.0\n",
      r"s_omega\.csv: .*sample 2: non-finite value 'nan'"),
-], ids=["negative-step", "horizons-disagree", "inf", "nan"])
+    # a repeated row would otherwise overwrite the first copy silently
+    ((1,), "1,1,0,1.0\n1,1,1,2.0\n1,1,0,3.0\n",
+     r"s_omega\.csv: .*sample 1: repeated row for edge 1, step 0"),
+    ((1, 1), "1,1,0,1.0\n1,1,1,2.0\n",
+     r"s_rho0\.csv: .*sample 1: repeated row for edge 1"),
+], ids=["negative-step", "horizons-disagree", "inf", "nan", "repeated-omega",
+        "repeated-rho0"])
 def test_read_samples_rejects_bad_steps(tmp_path, labels, omega_rows, message):
     sc, _ = single_edge(T=2)
     (tmp_path / "s_rho0.csv").write_text(

@@ -150,9 +150,17 @@ def test_small_grid_is_enumerated_exactly():
 
 
 def test_gap_eps_validation():
+    # checked before the menu is sized, so an enumerated menu rejects a
+    # bad budget too
     problem = build_problem(37, n=1, T=1, menu_size=1)
     with pytest.raises(ValueError):
         run_search(problem, gap_eps=0.0)
+    for budget in ({"gap_eps": math.nan}, {"gap_eps": math.inf},
+                   {"gap_eps": -1e-4}, {"time_limit": math.nan},
+                   {"time_limit": math.inf}, {"time_limit": 0.0},
+                   {"time_limit": -1.0}):
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_search(problem, **budget)
 
 
 def test_report_certificate_matches_best():
