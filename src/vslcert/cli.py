@@ -2,13 +2,14 @@
 
 Five subcommands: simulate (linear propagation under a given profile),
 certify (closed-form certificate for a profile), solve (certified
-search: exact enumeration up to the enumeration cap, the iterative MILP
-search past it), brute-force (exhaustive enumeration), validate
-(fresh-sample out-of-sample check). Every output is a CSV with
-"# key=value" comment lines followed by a column-name row; all
-randomness flows through the --seed flag and the seed is recorded in
-the headers, so reruns are bit-identical except for wall times and for
-a budgeted search past the cap that stops on its time limit.
+search: an exact branch-and-bound up to the enumeration cap, the
+iterative MILP search past it), brute-force (flat enumeration of every
+profile, the check on solve), validate (fresh-sample out-of-sample
+check). Every output is a CSV with "# key=value" comment lines followed
+by a column-name row; all randomness flows through the --seed flag and
+the seed is recorded in the headers, so reruns are bit-identical except
+for wall times and for a budgeted search past the cap that stops on its
+time limit.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 infeasible
 scenario (or no feasible profile found), 4 numerical failure.
@@ -141,9 +142,11 @@ def cmd_solve(args) -> int:
         "gap": report.gap,
         "wall_s": report.wall,
     }
+    nodes = {"nodes_expanded": report.nodes_expanded,
+             "nodes_pruned": report.nodes_pruned}
     _write_csv(
         out / "report.csv",
-        header,
+        {**header, **{k: "none" if v is None else v for k, v in nodes.items()}},
         ["k", "u", "upper_status", "upper_value", "ub", "lb", "certificate",
          "nodes", "wall_s"],
         (

@@ -216,14 +216,23 @@ def propagate_speeds(
             inflow[..., 1:] = flow[..., :-1]
             rho = rho + h * (inflow - flow + sample.omega[..., t])
             out[..., t] = rho
+    check_bounded(scenario, out, np.max(u))
+    return out
+
+
+def check_bounded(scenario: HighwayScenario, traj: np.ndarray,
+                  u_max: float) -> None:
+    """Raise ValueError unless the flows of the trajectories ``traj``
+    under speeds of at most ``u_max``, summed over the cells and steps as
+    every objective sums them, stay inside the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
         # max and min read out without a temporary; both are nan when an
         # entry is (from inf - inf), and nan fails the comparison too.
-        peak = max(out.max(), -out.min())
-        bounded = peak * np.max(u) * scenario.n * T < math.inf
+        peak = max(traj.max(), -traj.min())
+        bounded = peak * u_max * scenario.n * scenario.T < math.inf
     if not bounded:
         raise ValueError("propagated densities overflow the float range; "
                          "the disturbance is too large for this scenario")
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 Three tools live here: the exact evaluator, which scores every
 admissible profile stacked, one propagation and one closed-form
-certificate evaluation per chunk (the solver for every menu up to
-``DEFAULT_ENUM_CAP`` profiles, and the ground truth the MILP search must
-match), a physical demand/supply traffic simulator used for congestion
-comparisons, and a fresh-sample Monte-Carlo check of the certificate's
-out-of-sample guarantee.
+certificate evaluation per chunk (``brute-force``'s flat enumeration up
+to ``DEFAULT_ENUM_CAP`` profiles, and the ground truth that ``solve``'s
+branch-and-bound and the MILP search must match), a physical
+demand/supply traffic simulator used for congestion comparisons, and a
+fresh-sample Monte-Carlo check of the certificate's out-of-sample
+guarantee.
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities

@@ -229,9 +229,9 @@ def test_congestion_suppressed_on_incident_edge():
     # profile has an empty ambiguity set).
     #
     # The controller is the solver's answer. The menu's 1,875 profiles
-    # are under the enumeration cap, so the search evaluates them all and
-    # returns the certified optimum whatever its time limit; the profile
-    # checked is therefore the same on every machine.
+    # are under the enumeration cap, so the search solves them exactly by
+    # branch-and-bound and returns the certified optimum whatever its time
+    # limit; the profile checked is therefore the same on every machine.
     #
     # `level` is cell 4's mean density over the T = 20 training horizon,
     # while the uncontrolled crossing is sought over all 60 steps. The

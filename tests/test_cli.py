@@ -95,8 +95,8 @@ def test_solve_matches_brute_force(tmp_path):
 
 def test_budgeted_solve_reruns_identically(tmp_path):
     # A time limit binds only past the enumeration cap; the corridor's
-    # 1,875 profiles are all evaluated, so two runs agree in every byte
-    # but the wall time.
+    # 1,875 profiles are solved exactly by branch-and-bound, so two runs
+    # agree in every byte but the wall time.
     runs = []
     for name in ("a", "b"):
         rc = main(["solve", "--scenario", HIGHWAY, "--out", str(tmp_path / name),
@@ -415,3 +415,33 @@ def test_certify_fuzzed_input_exits_or_gives_number(cfg):
     else:
         assert table["status"] == "invalid_empty_ambiguity"
         assert value == -math.inf, table
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["highway5", "desk2", "sentinel2"])
+def test_solve_and_brute_force_agree(tmp_path, name, seed):
+    # solve runs the branch-and-bound, brute-force the flat enumeration.
+    common = ["--scenario", str(DATA / f"{name}.json"), "--seed", str(seed)]
+    codes = [main(["solve", *common, "--out", str(tmp_path / "solve")]),
+             main(["brute-force", *common, "--out", str(tmp_path / "bf")])]
+    header, rows = read_table(tmp_path / "solve" / "result.csv")
+    report, _ = read_table(tmp_path / "solve" / "report.csv")
+    assert int(report["nodes_pruned"]) <= int(report["nodes_expanded"])
+    if name == "sentinel2":
+        assert codes == [3, 3]
+        assert header["feasible"] == "False"
+        return
+    assert codes == [0, 0]
+    bf_header, bf_rows = read_table(tmp_path / "bf" / "brute_force.csv")
+    assert [r["u"] for r in rows] == [r["u"] for r in bf_rows]
+    assert float(header["j_hat"]) == float(bf_header["j_star"])
+
+
+def test_report_nodes_are_none_past_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr("vslcert.search.DEFAULT_ENUM_CAP", 0)
+    assert main(["solve", "--scenario", DESK, "--out", str(tmp_path)]) == 0
+    report, _ = read_table(tmp_path / "report.csv")
+    assert report["termination"] != "enumerated"
+    assert report["nodes_expanded"] == report["nodes_pruned"] == "none"
+    result, _ = read_table(tmp_path / "result.csv")
+    assert "nodes_expanded" not in result
