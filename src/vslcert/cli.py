@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jhat", type=float, required=True,
                    help="certified value to check against")
     p.add_argument("--nval", type=int, default=1000,
-                   help="validation sample count")
+                   help="validation sample count (drawn and simulated in "
+                        "chunks, so memory does not grow with it)")
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -35,6 +35,11 @@ VALIDATION_SEED_OFFSET = 7919
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``a``; an array that is read-only and
+    float already is kept as it is, so that ``generate_samples`` hands
+    over views of its draw buffer without a copy."""
+    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable:
+        return a
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
@@ -164,18 +169,32 @@ def load_generator(cfg: dict, n: int) -> GeneratorSpec:
 
 
 def generate_samples(
-    gen: GeneratorSpec, count: int, horizon: int, seed: int
+    gen: GeneratorSpec, count: int, horizon: int,
+    seed: int | np.random.Generator, out: np.ndarray | None = None,
 ) -> SampleSet:
     """Draw ``count`` i.i.d. samples in one generator call, deterministic for
-    a given seed, with the bits of one ``rng.uniform`` per draw and array."""
+    a given seed, with the bits of one ``rng.uniform`` per draw and array.
+
+    ``seed`` may also be a ``np.random.Generator``, whose stream the draws
+    continue: calls of c_1, c_2, ... draws on one generator give, row for
+    row, the draws of one call of c_1 + c_2 + ... draws. ``out``, a float
+    array (count, n + n * horizon) with contiguous rows, then receives the
+    draws in place of a new array; the set's arrays are read-only views
+    of it, valid until ``out`` is written again.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     n = len(gen.rho0_lo)
     lo = np.concatenate([gen.rho0_lo, np.repeat(gen.omega_lo, horizon)])
     hi = np.concatenate([gen.rho0_hi, np.repeat(gen.omega_hi, horizon)])
-    u = np.random.default_rng(seed).random((count, n + n * horizon))
-    draws = lo + (hi - lo) * u
-    return SampleSet(draws[:, :n], draws[:, n:].reshape(count, n, horizon))
+    # Each draw is rho0 (n,) and then omega (n, horizon), one row of u.
+    u = np.random.default_rng(seed).random((count, n + n * horizon), out=out)
+    u *= hi - lo
+    u += lo
+    rho0, omega = u[:, :n], u[:, n:].reshape(count, n, horizon)
+    rho0.setflags(write=False)
+    omega.setflags(write=False)
+    return SampleSet(rho0, omega)
 
 
 def propagate(

@@ -44,6 +44,12 @@ DEFAULT_ENUM_CAP = 100_000
 # (profiles x draws x cells x steps); a chunk of profiles never holds
 # more, except that it holds at least one profile.
 ENUM_CHUNK_ELEMENTS = 1 << 18
+# Values drawn per chunk of validate's fresh draws, (cells + cells x
+# steps) per draw; the CTM states of a chunk take about as many. Chosen by
+# timing validate on the corridor (305 values per draw, 859 draws per
+# chunk): 2**17 to 2**20 tie at 1,000 draws, 2**18 is fastest at 5,000,
+# and 2**15 is 1.7 times slower at both.
+VALIDATE_CHUNK_ELEMENTS = 1 << 18
 
 
 def profile_count(scenario: HighwayScenario) -> int:
@@ -102,7 +108,8 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
 
 def simulate_ctm(scenario: HighwayScenario, u,
                  sample: DisturbanceSample | SampleSet,
-                 horizon: int | None = None, return_flows: bool = False):
+                 horizon: int | None = None, return_flows: bool = False,
+                 out: np.ndarray | None = None):
     """Physical demand/supply simulation over the given horizon.
 
     u is a SpeedProfile or the string "uncontrolled" (free-flow speeds,
@@ -113,45 +120,73 @@ def simulate_ctm(scenario: HighwayScenario, u,
     the other edges are added directly and the result is clamped to
     [0, rho_U]. States at steps 1..horizon (default: every disturbance
     step) are (n, horizon) for one ``DisturbanceSample`` and (N, n, horizon)
-    for a ``SampleSet``; so is the flow ``applied_omega``, while
-    ``boundary`` and ``exit`` drop the edge axis.
+    for a ``SampleSet``, written into ``out`` when it is given; so is the
+    flow ``applied_omega``, while ``boundary`` and ``exit`` drop the edge
+    axis.
     """
     if horizon is None:
         horizon = sample.omega.shape[-1]
     if sample.omega.shape[-1] < horizon:
         raise ValueError("sample horizon shorter than requested simulation")
     if u == UNCONTROLLED:
-        speeds = np.array(scenario.uncontrolled_profile())
+        speeds = scenario.uncontrolled_profile()
     else:
-        speeds = np.asarray(u.as_array())
-    f_U = np.array([seg.f_U for seg in scenario.segments])
-    rho_U = np.array([seg.rho_U for seg in scenario.segments])
-    wave = np.array([wave_ratio(seg) * seg.u_bar for seg in scenario.segments])
+        speeds = u.as_array()
+    segments = scenario.segments
     h = scenario.h
 
-    rho = np.clip(sample.rho0, 0.0, rho_U)
-    out = np.empty(rho.shape + (horizon,))
+    # The step runs on states laid out (n, draws), cells first: ``.T``
+    # turns the (draws, n) and (draws, n, steps) arrays of a sample set
+    # around, and leaves those of one draw cells first already. Every
+    # parameter is broadcast once to the state shape, so each ufunc is one
+    # or two contiguous inner loops, not one loop per draw, and writes into
+    # a buffer allocated here once.
+    shape = sample.rho0.T.shape
+    params = np.empty((4,) + shape)
+    params.T[...] = np.array([
+        speeds, [seg.f_U for seg in segments], [seg.rho_U for seg in segments],
+        [wave_ratio(seg) * seg.u_bar for seg in segments]]).T
+    speeds, f_U, rho_U, wave = params
+    omega = sample.omega.T  # (steps, n, draws)
+    if out is None:
+        out = np.empty(sample.rho0.shape + (horizon,))
+    states = out.T  # (horizon, n, draws)
+    rho, demand, supply, interim = np.empty((4,) + shape)
+    np.clip(sample.rho0.T, 0.0, rho_U, out=rho)
     # The flows keep every step only when returned; otherwise step k = 0
     # is overwritten each step.
     steps = horizon if return_flows else 1
-    applied, inflow, outflow = (np.empty(rho.shape + (steps,)) for _ in range(3))
+    inflow, outflow = np.empty((2, steps) + shape)
+    if return_flows:
+        applied = np.empty((steps,) + shape)
     for t in range(horizon):
         k = t % steps
-        demand = np.minimum(speeds * rho, f_U)
-        supply = np.minimum(wave * (rho_U - rho), f_U)
-        inflow[..., 0, k] = np.minimum(sample.omega[..., 0, t], supply[..., 0])
-        inflow[..., 1:, k] = outflow[..., :-1, k] = np.minimum(
-            demand[..., :-1], supply[..., 1:])
-        outflow[..., -1, k] = demand[..., -1]
-        interim = rho + h * (inflow[..., k] - outflow[..., k])
-        bumped = interim.copy()
-        bumped[..., 1:] += h * sample.omega[..., 1:, t]
-        rho = np.clip(bumped, 0.0, rho_U)
-        applied[..., k] = (rho - interim) / h
-        out[..., t] = rho
+        np.multiply(speeds, rho, out=demand)
+        np.minimum(demand, f_U, out=demand)
+        np.subtract(rho_U, rho, out=supply)
+        np.multiply(wave, supply, out=supply)
+        np.minimum(supply, f_U, out=supply)
+        np.minimum(omega[t, :1], supply[:1], out=inflow[k, :1])
+        np.minimum(demand[:-1], supply[1:], out=inflow[k, 1:])
+        outflow[k, :-1] = inflow[k, 1:]
+        outflow[k, -1] = demand[-1]
+        np.subtract(inflow[k], outflow[k], out=interim)
+        np.multiply(h, interim, out=interim)
+        np.add(rho, interim, out=interim)
+        # rho <- clip(interim + h * omega) on every edge but the first.
+        rho[0] = interim[0]
+        np.multiply(h, omega[t, 1:], out=rho[1:])
+        np.add(interim[1:], rho[1:], out=rho[1:])
+        np.clip(rho, 0.0, rho_U, out=rho)
+        if return_flows:
+            np.subtract(rho, interim, out=applied[k])
+            np.divide(applied[k], h, out=applied[k])
+        states[t] = rho
     if return_flows:
-        return out, {"boundary": inflow[..., 0, :], "exit": outflow[..., -1, :],
-                     "applied_omega": applied}
+        # Back to the public layout: draws first, steps last.
+        return out, {"boundary": inflow[:, 0].T.copy(),
+                     "exit": outflow[:, -1].T.copy(),
+                     "applied_omega": applied.T.copy()}
     return out
 
 
@@ -182,19 +217,49 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
     Draws n_val new disturbances over 3T steps on an offset seed stream,
     compares their mean objective over the training horizon T against
     j_hat, and runs the physical simulator over all 3T steps for the mean
-    density (n, 3T). Every draw is propagated and simulated in one pass.
+    density (n, 3T). The draws are taken, propagated and simulated in
+    chunks of at most ``VALIDATE_CHUNK_ELEMENTS`` drawn values, into
+    buffers reused from chunk to chunk, so memory does not grow with
+    n_val. Both means are sums in draw order carried from chunk to chunk,
+    so they have the bits of one pass over all draws.
     A non-finite j_hat raises ValueError: no run could check it.
     """
     if not math.isfinite(j_hat):
         raise ValueError(f"j_hat must be finite, got {j_hat!r}")
-    horizon = 3 * scenario.T
-    fresh = generate_samples(generator, cfg.n_val, horizon,
-                             cfg.seed + VALIDATION_SEED_OFFSET)
-    flows = average_flow(profile, propagate(scenario, profile, fresh))
-    # Both sums add one draw at a time in draw order (cumsum, and a
-    # reduction over the leading axis), as a loop over the draws would.
-    mean_objective = float(np.cumsum(flows)[-1]) / cfg.n_val
-    density = simulate_ctm(scenario, profile, fresh).sum(axis=0) / cfg.n_val
+    if cfg.n_val < 1:
+        raise ValueError("n_val must be at least 1")
+    horizon, n = 3 * scenario.T, scenario.n
+    width = n + n * horizon
+    step = min(cfg.n_val, max(1, VALIDATE_CHUNK_ELEMENTS // width))
+    rng = np.random.default_rng(cfg.seed + VALIDATION_SEED_OFFSET)
+    draws = np.empty((step, width))
+    # Row 0 carries the density sum of the chunks before; rows 1.. take
+    # the states of the current chunk.
+    states = np.empty((step + 1, n, horizon))
+    for start in range(0, cfg.n_val, step):
+        count = min(step, cfg.n_val - start)
+        fresh = generate_samples(generator, count, horizon, rng,
+                                 out=draws[:count])
+        flows = average_flow(profile, propagate(scenario, profile, fresh))
+        simulate_ctm(scenario, profile, fresh, out=states[1:count + 1])
+        # Both sums add one draw at a time in draw order (cumsum, and a
+        # reduction over the leading axis of (draws, n, 3T), which numpy
+        # runs row by row), as a loop over the draws would; from the
+        # second chunk on, each starts from the sum of the chunks before.
+        first = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            if start:
+                flows[0] += objective
+                states[0] = density
+                first = 0
+            objective = np.cumsum(flows)[-1]
+        if not math.isfinite(objective):
+            raise ValueError("the summed objective of the fresh draws "
+                             "overflows the float range; the disturbance is "
+                             "too large for this scenario")
+        density = states[first:count + 1].sum(axis=0)
+    mean_objective = float(objective) / cfg.n_val
+    density /= cfg.n_val
     return ValidationReport(
         n_val=cfg.n_val, horizon=horizon, seed=cfg.seed, j_hat=j_hat,
         mean_objective=mean_objective,

@@ -124,6 +124,15 @@ def test_budgeted_solve_reruns_identically(tmp_path):
     assert {r["key"]: r["value"] for r in cert_rows}["value"] == header["j_hat"]
 
 
+def _src_env():
+    """The environment with this vslcert first on PYTHONPATH."""
+    src = str(Path(vslcert.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                               if env.get("PYTHONPATH") else []))
+    return env
+
+
 def test_commands_start_without_scipy(tmp_path):
     # scipy serves only the MILP search past the enumeration cap, so the
     # commands that stay under it never import it; vslcert.lpsolve itself
@@ -146,11 +155,7 @@ print(json.dumps({{
     "lpsolve": "vslcert.lpsolve" in sys.modules,
 }}))
 """
-    src = str(Path(vslcert.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
-                                               if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
@@ -170,6 +175,29 @@ def test_validate_outputs(tmp_path):
     _, cells = read_table(tmp_path / "density_mean.csv")
     assert len(cells) == 2 * 9
     assert {r["l"] for r in cells} == {"1"}
+
+
+def test_validate_memory_is_bounded_in_nval(tmp_path):
+    # validate streams its fresh draws in chunks: 100,000 corridor draws
+    # (2.4 GB of states at 1e6) must fit in a fixed budget. The peak RSS is
+    # that of a child of a fresh interpreter, which runs nothing else.
+    script = f"""
+import resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-m", "vslcert.cli", "validate",
+                       "--scenario", {HIGHWAY!r}, "--out", {str(tmp_path)!r},
+                       "--speeds", "120,120,120,80,120", "--jhat", "1e5",
+                       "--nval", "100000"], capture_output=True, text=True)
+print(proc.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(proc.stderr, file=sys.stderr)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert peak_kb < 150 * 1024
+    header, _ = read_table(tmp_path / "summary.csv")
+    assert header["n_val"] == "100000"
 
 
 def test_outputs_are_deterministic(tmp_path):
@@ -364,6 +392,18 @@ def test_overflowing_disturbance_is_config_error(tmp_path, capsys, disturbance):
     assert not out.exists()
 
 
+def test_overflowing_objective_sum_is_config_error(tmp_path, capsys):
+    # Each draw's flows are in range, but 100 of them sum past it.
+    cfg = dict(read_config(DESK), disturbance={"rho0": 1e307, "omega": 0.0})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["validate", "--scenario", str(path), "--out", str(out),
+                 "--speeds", "0.8,0.4", "--jhat", "1.0", "--nval", "100"]) == 2
+    assert "overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def number(usual):
     """Any finite float, or the config's own value half of the time."""
     return st.one_of(st.just(usual), st.floats(allow_nan=False, allow_infinity=False))
@@ -415,6 +455,62 @@ def test_certify_fuzzed_input_exits_or_gives_number(cfg):
     else:
         assert table["status"] == "invalid_empty_ambiguity"
         assert value == -math.inf, table
+
+
+def any_bound(draw):
+    """A bound anywhere in the finite float range: a number or a {lo, hi}
+    pair, mostly ordered."""
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        return draw(value)
+    lo, hi = draw(value), draw(value)
+    if draw(st.integers(0, 9)):
+        lo, hi = sorted((lo, hi))
+    return {"lo": lo, "hi": hi}
+
+
+@st.composite
+def fuzzed_disturbances(draw):
+    """desk2's disturbance section in its three forms: one bound for every
+    edge, or a per-edge list."""
+    section = {}
+    for key in ("rho0", "omega"):
+        if draw(st.booleans()):
+            section[key] = [any_bound(draw) for _ in range(2)]
+        else:
+            section[key] = any_bound(draw)
+    return section
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzzed_disturbances())
+@example({"rho0": 1e307, "omega": {"lo": -1.7e308, "hi": 1.7e308}})
+@example({"rho0": [0.0, 5e-324], "omega": [1e308, {"lo": -1e308, "hi": 0.0}]})
+def test_fuzzed_disturbance_exits_or_gives_finite_values(section):
+    cfg = dict(read_config(DESK), disturbance=section)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        common = ["--scenario", str(path), "--speeds", "0.8,0.4"]
+        rc = main(["certify", *common, "--out", tmp + "/certify"])
+        if rc != 2:
+            assert rc == 0
+            _, rows = read_table(Path(tmp) / "certify" / "certificate.csv")
+            table = {r["key"]: r["value"] for r in rows}
+            if table["status"] == "finite":
+                assert math.isfinite(float(table["value"])), table
+            else:
+                assert float(table["value"]) == -math.inf, table
+        rc = main(["validate", *common, "--jhat", "1.0", "--nval", "20",
+                   "--out", tmp + "/validate"])
+        if rc == 2:
+            return
+        assert rc == 0
+        header, rows = read_table(Path(tmp) / "validate" / "summary.csv")
+        _, cells = read_table(Path(tmp) / "validate" / "density_mean.csv")
+    assert math.isfinite(float(header["mean_objective"])), header
+    assert all(math.isfinite(float(r["max_mean_density"])) for r in rows)
+    assert all(math.isfinite(float(r["rho"])) for r in cells)
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -177,6 +177,25 @@ def test_bulk_draw_matches_per_draw_loop(section, count):
         assert (samples.rho0 == rho0).all() and (samples.omega == omega).all()
 
 
+def test_chunked_draws_into_a_buffer_match_one_call():
+    gen = load_generator({"disturbance": {
+        "rho0": [1, {"lo": 0.0, "hi": 1e-3}, {"lo": 10, "hi": 50}],
+        "omega": {"lo": -1500, "hi": 2500}}}, 3)
+    whole = generate_samples(gen, 1000, 60, seed=7)
+    rng = np.random.default_rng(7)
+    buffer = np.empty((384, 3 + 3 * 60))
+    start = 0
+    for count in (384, 384, 232):
+        part = generate_samples(gen, count, 60, rng, out=buffer[:count])
+        # no copy: the set's read-only arrays are views of the buffer
+        assert np.shares_memory(part.omega, buffer)
+        assert not part.rho0.flags.writeable and not part.omega.flags.writeable
+        rows = slice(start, start + count)
+        assert (part.rho0 == whole.rho0[rows]).all()
+        assert (part.omega == whole.omega[rows]).all()
+        start += count
+
+
 def test_sample_set_checks_and_freezes_its_arrays():
     rho0, omega = np.zeros((2, 3)), np.ones((2, 3, 4))
     samples = SampleSet(rho0, omega)

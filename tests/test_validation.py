@@ -340,13 +340,30 @@ def test_ctm_on_sample_set_matches_per_draw_loop(n, seed):
                 assert (flows[key] == np.stack([r[1][key] for r in runs])).all()
 
 
-@pytest.mark.parametrize("n, n_val", [(1, 7), (3, 300)])
-def test_validate_matches_per_draw_loop(n, n_val):
+@pytest.mark.parametrize("n, n_val, chunk", [
+    pytest.param(1, 7, 3, id="1-7"),       # chunks of 3, 3 and 1 draws
+    pytest.param(3, 300, 60, id="3-300"),  # five full chunks
+    pytest.param(1, 7, None, id="1-7-one-chunk"),
+    pytest.param(3, 300, None, id="3-300-one-chunk"),
+])
+def test_validate_matches_per_draw_loop(n, n_val, chunk, monkeypatch):
     rng = np.random.default_rng(47 + n)
     sc, gen = desk.random_scenario(rng, n=n, T=4)
+    sizes = []
+
+    def counted(scenario, u, sample, **kwargs):
+        sizes.append(sample.count)
+        return simulate_ctm(scenario, u, sample, **kwargs)
+
+    monkeypatch.setattr("vslcert.validation.simulate_ctm", counted)
+    if chunk is not None:  # a budget of exactly `chunk` draws
+        monkeypatch.setattr("vslcert.validation.VALIDATE_CHUNK_ELEMENTS",
+                            chunk * (n + n * 3 * sc.T))
     prof = sc.speed_profile([b[0] for b in sc.bands])
     cfg = ValidationConfig(n_val=n_val, seed=3)
     report = validate(sc, gen, prof, 0.0, cfg)
+    step = chunk or n_val
+    assert sizes == [step] * (n_val // step) + [n_val % step] * (n_val % step > 0)
     mean_objective, mean_density = reference_validate(sc, gen, prof, cfg)
     assert report.mean_objective == mean_objective
     assert (report.mean_density == mean_density).all()
