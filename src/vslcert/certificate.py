@@ -70,21 +70,6 @@ def average_flow(profile: SpeedProfile, traj: np.ndarray):
     return float(flow) if flow.ndim == 0 else flow
 
 
-def component_min(a: float, cap: float, r: float, lam: float) -> float:
-    """Minimum of ``lam * |rho - r| + a * rho`` over rho in [0, cap]."""
-    anchor = min(max(r, 0.0), cap)
-    return min(lam * abs(r), lam * abs(anchor - r) + a * anchor)
-
-
-def box_distance(scenario: HighwayScenario, profile: SpeedProfile,
-                 batch: TrajectoryBatch) -> float:
-    """Mean 1-norm distance from the sample trajectories to their box."""
-    a = flow_weights(scenario, profile)[None]
-    _, dist = _dual_totals(a, scenario.critical_densities(profile)[None],
-                           np.asarray(batch.rho)[None], a, scenario.epsilon)
-    return float(dist[0])
-
-
 def _dual_totals(a: np.ndarray, caps: np.ndarray, rho: np.ndarray,
                  lams: np.ndarray, epsilon: float):
     """Dual objective of P stacked profiles at their scales, and their

@@ -13,11 +13,16 @@ time limit.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 infeasible
 scenario (or no feasible profile found), 4 numerical failure.
+
+``main(argv)`` may be called any number of times in one process: the
+parser is built once per process, on the first call, and reused, since
+parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -230,7 +235,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: its setup
+    costs more than a small solve. Each subcommand's ``func`` default is
+    bound to its ``cmd_*`` function at that build."""
     parser = argparse.ArgumentParser(
         prog="vslcert",
         description="Certified variable speed limits for freeway corridors",

@@ -273,7 +273,9 @@ def propagate_batch(
     scenario: HighwayScenario, profile: SpeedProfile, samples: SampleSet
 ) -> TrajectoryBatch:
     """Propagate every sample; order preserving."""
-    return TrajectoryBatch(rho=propagate(scenario, profile, samples), u=profile.u)
+    rho = propagate(scenario, profile, samples)
+    rho.setflags(write=False)  # fresh and unshared: the batch keeps it uncopied
+    return TrajectoryBatch(rho=rho, u=profile.u)
 
 
 def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:
@@ -335,8 +337,17 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
         raise ConfigError(str(prefix), "sample indices disagree between the two files")
     n, labels = scenario.n, sorted(rho0_rows)
     horizon = 1 + max(t for rows in omega_rows.values() for (_, t) in rows)
+    if horizon < scenario.T:
+        raise ConfigError(str(omega_path), f"{horizon} steps, fewer than the "
+                                           f"scenario's T = {scenario.T}")
+    # Rows are distinct (e, t) with 0 <= t < horizon, and every e is
+    # checked below to lie in 1..n, so n * horizon rows fill a draw. Counted
+    # before the array is sized by the largest step.
+    for l in labels:
+        if len(omega_rows[l]) < n * horizon:
+            raise ConfigError(str(omega_path), f"sample {l}: missing omega entries")
     rho0 = np.empty((len(labels), n))
-    omega = np.full((len(labels), n, horizon), np.nan)
+    omega = np.empty((len(labels), n, horizon))
     for i, l in enumerate(labels):
         if sorted(rho0_rows[l]) != list(range(1, n + 1)):
             raise ConfigError(str(rho0_path), f"sample {l}: expected edges 1..{n}")
@@ -345,8 +356,6 @@ def read_samples(prefix: str | Path, scenario: HighwayScenario) -> SampleSet:
             if not (1 <= e <= n):
                 raise ConfigError(str(omega_path), f"sample {l}: edge {e} out of range")
             omega[i, e - 1, t] = v
-        if np.isnan(omega[i]).any():
-            raise ConfigError(str(omega_path), f"sample {l}: missing omega entries")
         for e, v in enumerate(rho0[i]):
             if not (0 <= v <= scenario.segments[e].rho_bar):
                 raise ConfigError(

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import desk
-from vslcert.certificate import box_distance, menu_values
+from oracles import box_distance
+from vslcert.certificate import menu_values
 from vslcert.network import load_scenario, read_config
 from vslcert.sampling import (
     SampleSet,

@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import desk
+from oracles import box_distance, component_min
 from vslcert.certificate import (
     STATUS_EMPTY,
     STATUS_FINITE,
     average_flow,
-    box_distance,
     certificate,
-    component_min,
     flow_weights,
     menu_values,
 )

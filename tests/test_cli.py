@@ -1,10 +1,12 @@
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vslcert
-from vslcert.cli import main
+from vslcert.cli import build_parser, main
 from vslcert.errors import InfeasibleScenarioError, NumericalError
 from vslcert.network import load_scenario, read_config
+from vslcert.search import DEFAULT_GAP_EPS
 
 DATA = Path(__file__).parent / "data"
 DESK = str(DATA / "desk2.json")
@@ -541,3 +544,165 @@ def test_report_nodes_are_none_past_the_cap(tmp_path, monkeypatch):
     assert report["nodes_expanded"] == report["nodes_pruned"] == "none"
     result, _ = read_table(tmp_path / "result.csv")
     assert "nodes_expanded" not in result
+
+
+# main builds its parser once per process and reuses it. The parser's
+# set_defaults(func=cmd_*) binds the command functions at that first
+# build, so a monkeypatch of vslcert.cli.cmd_* made after it is not seen;
+# patch the names those commands call instead, as
+# test_numerical_failure_exit_code patches vslcert.cli.run_search.
+
+
+def masked_outputs(out):
+    """Every file a command wrote under ``out``, wall-time lines masked."""
+    return {path.relative_to(out).as_posix():
+            [line for line in path.read_text().splitlines()
+             if not line.startswith("# wall_s=")]
+            for path in sorted(out.rglob("*.csv"))}
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_failed_parse_leaves_the_parser_as_it_was(tmp_path):
+    """A call that argparse rejects (exit 2) changes nothing the next
+    valid call sees."""
+    common = ["--scenario", DESK, "--count", "2"]
+    assert main(["solve", *common, "--out", str(tmp_path / "before")]) == 0
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(["solve", *common, "--gap", "x", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert "--gap: invalid float value: 'x'" in err.getvalue()
+    assert main(["solve", *common, "--out", str(tmp_path / "after")]) == 0
+    assert not (tmp_path / "bad").exists()
+    assert masked_outputs(tmp_path / "after") == masked_outputs(tmp_path / "before")
+
+
+def test_options_do_not_leak_into_the_next_call(tmp_path):
+    """Options given to one call leave the next call its defaults."""
+    assert main(["solve", "--scenario", DESK, "--out", str(tmp_path / "set"),
+                 "--gap", "0.5", "--time-limit", "3", "--count", "2",
+                 "--seed", "4"]) == 0
+    header, _ = read_table(tmp_path / "set" / "result.csv")
+    assert (header["gap_eps"], header["time_limit"], header["count"],
+            header["seed"]) == ("0.5", "3.0", "2", "4")
+    assert main(["solve", "--scenario", DESK, "--out", str(tmp_path / "bare")]) == 0
+    header, _ = read_table(tmp_path / "bare" / "result.csv")
+    assert (header["gap_eps"], header["time_limit"], header["count"],
+            header["seed"]) == (repr(DEFAULT_GAP_EPS), "none", "3", "0")
+
+
+CALLS = {
+    "simulate": ["--speeds", "0.4,0.8"],
+    "certify": ["--speeds", "0.4,0.8"],
+    "solve": [],
+    "brute-force": [],
+    "validate": ["--speeds", "0.4,0.8", "--jhat", "2.0", "--nval", "20"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_command_output_does_not_depend_on_earlier_calls(tmp_path, command):
+    """In a fresh interpreter, a command run first writes the same bytes as
+    the same command run after every other subcommand and a rejected one."""
+    script = f"""
+from vslcert.cli import main
+calls = {CALLS!r}
+command = {command!r}
+def run(name, out):
+    return main([name, "--scenario", {DESK!r}, "--seed", "2", "--out", out,
+                 *calls[name]])
+codes = [run(command, {str(tmp_path / "first")!r})]
+for name in calls:
+    codes.append(run(name, {str(tmp_path / "others")!r} + "/" + name))
+try:
+    main(["solve", "--scenario", {DESK!r}, "--gap", "x"])
+except SystemExit as exc:
+    codes.append(exc.code)
+codes.append(run(command, {str(tmp_path / "last")!r}))
+print(codes)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([0] * 6 + [2, 0])
+    first = masked_outputs(tmp_path / "first")
+    assert first and first == masked_outputs(tmp_path / "last")
+
+
+BAD_TEXT = ("", "abc", "1,5", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+            "1e999", "0x10")
+
+
+@st.composite
+def sample_files(draw):
+    """The text of a desk2 sample CSV pair (T = 3): one to three draws of
+    one to five steps, with rows dropped, repeated or given a negative
+    step, fields replaced by text that is not a finite number, and LF or
+    CRLF line endings."""
+    count, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rho0 = [[str(l), str(e), repr(draw(st.floats(0.0, 60.0)))]
+            for l in range(1, count + 1) for e in (1, 2)]
+    omega = [[str(l), str(e), str(t), repr(draw(st.floats(-50.0, 50.0)))]
+             for l in range(1, count + 1) for e in (1, 2) for t in range(horizon)]
+    for rows, kinds in ((rho0, ("drop", "repeat", "text")),
+                        (omega, ("drop", "repeat", "text", "negative"))):
+        for _ in range(draw(st.integers(0, 3))):
+            if not rows:
+                break
+            i = draw(st.integers(0, len(rows) - 1))
+            kind = draw(st.sampled_from(kinds))
+            if kind == "drop":
+                del rows[i]
+            elif kind == "repeat":
+                rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+            elif kind == "negative":
+                rows[i][2] = str(-draw(st.integers(1, horizon)))
+            else:
+                rows[i][draw(st.integers(0, len(rows[i]) - 1))] = \
+                    draw(st.sampled_from(BAD_TEXT))
+    end = draw(st.sampled_from(("\n", "\r\n")))
+    return tuple(end.join([head] + [",".join(row) for row in rows]) + end
+                 for head, rows in (("l,e,rho0", rho0), ("l,e,t,omega", omega)))
+
+
+def clean_files(count, horizon, end="\n"):
+    """A well-formed desk2 sample pair of ``count`` draws of ``horizon`` steps."""
+    rho0 = [f"{l},{e},1.0" for l in range(1, count + 1) for e in (1, 2)]
+    omega = [f"{l},{e},{t},0.5" for l in range(1, count + 1) for e in (1, 2)
+             for t in range(horizon)]
+    return tuple(end.join([head] + rows) + end
+                 for head, rows in (("l,e,rho0", rho0), ("l,e,t,omega", omega)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sample_files())
+@example(clean_files(2, 3))
+@example(clean_files(1, 5, "\r\n"))  # longer than T: truncated
+@example(clean_files(2, 2))  # shorter than T
+def test_fuzzed_sample_files_exit_or_give_number(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = Path(tmp) / "draws"
+        for suffix, text in zip(("_rho0.csv", "_omega.csv"), files):
+            with open(f"{prefix}{suffix}", "w", newline="") as fh:
+                fh.write(text)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["certify", "--scenario", DESK, "--samples", str(prefix),
+                       "--speeds", "0.4,0.8", "--out", tmp])
+        if rc == 2:
+            assert str(prefix) in err.getvalue(), err.getvalue()
+            assert not (Path(tmp) / "certificate.csv").exists()
+            return
+        assert rc == 0, err.getvalue()
+        path = Path(tmp) / "certificate.csv"
+        assert "nan" not in path.read_text().lower()
+        _, rows = read_table(path)
+    table = {r["key"]: r["value"] for r in rows}
+    if table["status"] == "finite":
+        assert math.isfinite(float(table["value"])), table
+    else:
+        assert table["status"] == "invalid_empty_ambiguity"
+        assert float(table["value"]) == -math.inf, table

@@ -282,6 +282,28 @@ def test_batch_matches_per_sample_propagation():
     assert recursion_residual(sc, batch, samples) < 1e-12
 
 
+def test_batch_keeps_its_fresh_trajectories_uncopied(monkeypatch):
+    # propagate_batch hands over the array propagate builds, read-only,
+    # instead of a second, frozen copy of it.
+    sc, gen = desk.random_scenario(np.random.default_rng(9))
+    prof = sc.speed_profile([b[-1] for b in sc.bands])
+    samples = desk.desk_samples(sc, gen, 5, 2)
+    built = []
+
+    def recording(*args):
+        built.append(propagate(*args))
+        return built[-1]
+
+    monkeypatch.setattr("vslcert.sampling.propagate", recording)
+    rho = propagate_batch(sc, prof, samples).rho
+    assert rho is built[0]
+    assert not rho.flags.writeable
+    assert rho.base is None
+    expect = propagate(sc, prof, samples)
+    assert rho.dtype == expect.dtype and rho.shape == expect.shape
+    assert rho.tobytes() == expect.tobytes()
+
+
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(8)
     sc, gen = desk.random_scenario(rng, n=2, T=3)
@@ -330,8 +352,14 @@ def test_read_samples_rejects_missing_entries(tmp_path):
      r"s_omega\.csv: .*sample 1: repeated row for edge 1, step 0"),
     ((1, 1), "1,1,0,1.0\n1,1,1,2.0\n",
      r"s_rho0\.csv: .*sample 1: repeated row for edge 1"),
+    ((1,), "1,1,0,1.0\n", r"s_omega\.csv: 1 steps, fewer than the scenario's T = 2"),
+    # found missing before an array of 10**12 steps is allocated
+    ((1,), "1,1,0,1.0\n1,1,1,2.0\n1,1,999999999999,3.0\n",
+     r"s_omega\.csv: sample 1: missing omega"),
+    # as many rows as a full draw, one of them on an edge that is not there
+    ((1,), "1,1,0,1.0\n1,2,1,2.0\n", r"s_omega\.csv: sample 1: edge 2 out of range"),
 ], ids=["negative-step", "horizons-disagree", "inf", "nan", "repeated-omega",
-        "repeated-rho0"])
+        "repeated-rho0", "shorter-than-T", "huge-step", "edge-out-of-range"])
 def test_read_samples_rejects_bad_steps(tmp_path, labels, omega_rows, message):
     sc, _ = single_edge(T=2)
     (tmp_path / "s_rho0.csv").write_text(
