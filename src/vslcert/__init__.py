@@ -7,7 +7,6 @@ from .network import (
     SegmentParams,
     SpeedProfile,
     admissible_speeds,
-    allowable_flow,
     critical_density,
     load_scenario,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "SegmentParams",
     "SpeedProfile",
     "admissible_speeds",
-    "allowable_flow",
     "certificate",
     "critical_density",
     "generate_samples",

@@ -2,17 +2,17 @@
 
 Five subcommands: simulate (linear propagation under a given profile),
 certify (closed-form certificate for a profile), solve (certified
-search: an exact branch-and-bound up to the enumeration cap, the
-iterative MILP search past it), brute-force (flat enumeration of every
-profile, the check on solve), validate (fresh-sample out-of-sample
-check). Every output is a CSV with "# key=value" comment lines followed
-by a column-name row; all randomness flows through the --seed flag and
-the seed is recorded in the headers, so reruns are bit-identical except
-for wall times and for a budgeted search past the cap that stops on its
+search by branch-and-bound, exact unless a time limit stops it past the
+enumeration cap), brute-force (flat enumeration of every profile, the
+check on solve), validate (fresh-sample out-of-sample check). Every
+output is a CSV with "# key=value" comment lines followed by a
+column-name row; all randomness flows through the --seed flag and the
+seed is recorded in the headers, so reruns are bit-identical except for
+wall times and for a budgeted search past the cap that stops on its
 time limit.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 infeasible
-scenario (or no feasible profile found), 4 numerical failure.
+scenario (or no feasible profile found).
 
 ``main(argv)`` may be called any number of times in one process: the
 parser is built once per process, on the first call, and reused, since
@@ -29,17 +29,16 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import certificate
-from .errors import ConfigError, InfeasibleScenarioError, NumericalError
+from .errors import ConfigError, InfeasibleScenarioError
 from .linearize import SearchProblem
 from .network import load_scenario, read_config
 from .sampling import generate_samples, load_generator, propagate_batch, read_samples
-from .search import DEFAULT_GAP_EPS, run_search
+from .search import run_search
 from .validation import ValidationConfig, brute_force_optimum, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
-EXIT_NUMERICAL = 4
 
 
 def _fmt(value) -> str:
@@ -133,46 +132,26 @@ def cmd_solve(args) -> int:
     cfg, scenario = _load_config(args)
     samples, source = _load_samples(args, cfg, scenario)
     problem = SearchProblem(scenario=scenario, samples=samples)
-    report = run_search(problem, gap_eps=args.gap, time_limit=args.time_limit)
-    out = Path(args.out)
+    report = run_search(problem, time_limit=args.time_limit)
     header = {
         "command": "solve",
         **source,
         "epsilon": scenario.epsilon,
-        "gap_eps": args.gap,
         "time_limit": args.time_limit if args.time_limit is not None else "none",
         "termination": report.termination,
         "lower_bound": report.best_value,
         "upper_bound": report.upper_bound,
         "gap": report.gap,
         "wall_s": report.wall,
+        "nodes_expanded": report.nodes_expanded,
+        "nodes_pruned": report.nodes_pruned,
+        "j_hat": report.best_value,
+        "feasible": report.feasible,
     }
-    nodes = {"nodes_expanded": report.nodes_expanded,
-             "nodes_pruned": report.nodes_pruned}
-    _write_csv(
-        out / "report.csv",
-        {**header, **{k: "none" if v is None else v for k, v in nodes.items()}},
-        ["k", "u", "upper_status", "upper_value", "ub", "lb", "certificate",
-         "nodes", "wall_s"],
-        (
-            (
-                rec.k,
-                ";".join(repr(v) for v in rec.u),
-                rec.upper_status,
-                rec.upper_value,
-                rec.ub,
-                rec.lb,
-                rec.certificate_value,
-                rec.node_count if rec.node_count is not None else "",
-                rec.wall,
-            )
-            for rec in report.iterations
-        ),
-    )
     best = report.best_u if report.feasible else ()
     path = _write_csv(
-        out / "result.csv",
-        {**header, "j_hat": report.best_value, "feasible": report.feasible},
+        Path(args.out) / "result.csv",
+        header,
         ["e", "u"],
         ((e + 1, u) for e, u in enumerate(best)),
     )
@@ -268,9 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="search for the best certified profile")
     common(p)
-    p.add_argument("--gap", type=float, default=DEFAULT_GAP_EPS,
-                   help="relative gap tolerance of the search past the "
-                        "enumeration cap")
     p.add_argument("--time-limit", type=float, default=None,
                    help="wall-clock budget in seconds of the search past "
                         "the enumeration cap")
@@ -300,9 +276,6 @@ def main(argv=None) -> int:
     except InfeasibleScenarioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,11 +17,4 @@ class InfeasibleScenarioError(RuntimeError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when a solver fails for numerical reasons (not infeasibility).
-
-    ``report`` may carry the partial iteration log collected so far.
-    """
-
-    def __init__(self, message: str, report=None):
-        self.report = report
-        super().__init__(message)
+    """Raised when a solver fails for numerical reasons (not infeasibility)."""

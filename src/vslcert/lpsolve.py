@@ -11,8 +11,8 @@ with a fixed pivot and branching order here, so repeated calls return
 bit-identical solutions.
 
 scipy is imported by the functions that call it, not with the module, so
-the command line starts without it and only a search past the
-enumeration cap pays for the import.
+the command line starts without it: only the test oracles of
+``linearize`` solve models here, and scipy is a test dependency.
 """
 
 from __future__ import annotations

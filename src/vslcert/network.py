@@ -89,21 +89,6 @@ def eta_coefficient(seg: SegmentParams, u: float) -> float:
     return seg.f_bar + u * (seg.rho_bar - seg.f_bar / seg.u_bar)
 
 
-def allowable_flow(seg: SegmentParams, rho: float, u: float) -> float:
-    """Flow supported at density ``rho`` under speed limit ``u``.
-
-    Free-flow branch ``u * rho`` up to the critical density, congested
-    branch ``wave_ratio * u_bar * (rho_bar - rho)`` beyond it.
-    """
-    if not (0 <= rho <= seg.rho_bar):
-        raise ValueError("density outside [0, rho_bar]")
-    if not (0 < u <= seg.u_bar):
-        raise ValueError("speed limit outside (0, u_bar]")
-    if rho <= critical_density(seg, u):
-        return u * rho
-    return wave_ratio(seg) * seg.u_bar * (seg.rho_bar - rho)
-
-
 def admissible_speeds(
     seg: SegmentParams, gamma: tuple[float, ...], jam_margin: float
 ) -> tuple[float, ...]:
@@ -139,7 +124,6 @@ class HighwayScenario:
     segments: tuple[SegmentParams, ...]
     gamma: tuple[float, ...]
     jam_margin: float = DEFAULT_JAM_MARGIN
-    eta_bar: float | None = None
     epsilon: float = DEFAULT_RADIUS
     h: float = field(init=False)
     bands: tuple[tuple[float, ...], ...] = field(init=False)
@@ -168,10 +152,6 @@ class HighwayScenario:
             admissible_speeds(s, self.gamma, self.jam_margin) for s in self.segments
         )
         object.__setattr__(self, "bands", bands)
-        if self.eta_bar is None:
-            object.__setattr__(self, "eta_bar", default_eta_bar(self))
-        elif self.eta_bar <= 0:
-            raise ValueError("eta_bar must be positive")
 
     def speed_profile(self, values) -> "SpeedProfile":
         """Validate per-edge speed limits against the grid and bands."""
@@ -203,20 +183,6 @@ class SpeedProfile:
 
     def as_array(self) -> np.ndarray:
         return np.array(self.u, dtype=float)
-
-
-def default_eta_bar(scenario: HighwayScenario) -> float:
-    """Generous dual-slack bound covering the worst finite-certificate dual.
-
-    The optimal slack never exceeds ``(max_e u_bar_e / T) / K`` where ``K``
-    is the smallest dual-row coefficient over the grid; a tenfold margin is
-    applied on top.
-    """
-    worst = max(
-        (s.u_bar / scenario.T) / eta_coefficient(s, scenario.gamma[0])
-        for s in scenario.segments
-    )
-    return 10.0 * worst
 
 
 def config_number(value, path: str) -> float:
@@ -273,9 +239,9 @@ def load_scenario(source) -> HighwayScenario:
           "L_km": 10.0, "n": 5, "delta_s": 30.0, "T": 20,
           "gamma": [40, 60, 80, 100, 120],
           "pi": 1.0,                # optional jam-density margin
-          "eta_bar": 2.0e-3,        # optional dual-slack bound
           "epsilon": 1000.0,        # optional transport radius
           "beta": 0.5,              # optional, ignored (a retired knob)
+          "eta_bar": 2.0e-3,        # optional, ignored (a retired knob)
           "segments": [
             {"f_bar": 3.1e4, "rho_bar": 1050, "u_bar": 140,
              "f_U": 3.1e4, "rho_U": 1050},
@@ -299,7 +265,6 @@ def load_scenario(source) -> HighwayScenario:
     T = _get(cfg, "T", int, "")
     gamma_raw = _get(cfg, "gamma", list, "")
     jam_margin = _get(cfg, "pi", float, "", default=DEFAULT_JAM_MARGIN, required=False)
-    eta_bar = _get(cfg, "eta_bar", float, "", default=None, required=False)
     epsilon = _get(cfg, "epsilon", float, "", default=DEFAULT_RADIUS, required=False)
     seg_raw = _get(cfg, "segments", list, "")
 
@@ -337,7 +302,6 @@ def load_scenario(source) -> HighwayScenario:
             segments=tuple(segments),
             gamma=tuple(gamma),
             jam_margin=jam_margin,
-            eta_bar=eta_bar,
             epsilon=epsilon,
         )
     except ValueError as exc:

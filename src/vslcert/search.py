@@ -1,13 +1,11 @@
 """Certified search over admissible speed profiles.
 
-:func:`run_search` solves every menu of at most ``DEFAULT_ENUM_CAP``
-profiles exactly with :func:`branch_and_bound` (termination
-``enumerated``, gap 0, no rounds): a prefix-shared branch-and-bound
-(Land & Doig 1960) whose pruning is an implicit enumeration of the whole
-menu, so its answer is the flat enumeration's, bit for bit. The time
-limit and the gap tolerance then play no part, so the answer is the same
-on every machine. ``brute-force`` keeps the flat enumeration of
-``validation``, so the two commands check each other.
+:func:`run_search` solves every menu with :func:`branch_and_bound`: a
+prefix-shared branch-and-bound (Land & Doig 1960) whose pruning is an
+implicit enumeration of the whole menu, so its answer is the flat
+enumeration's, bit for bit (termination ``enumerated``, gap 0).
+``brute-force`` keeps the flat enumeration of ``validation``, so the two
+commands check each other.
 
 Cell e's trajectories, cap and flow weight depend only on the prefix
 ``u_1..u_e``, so each level of the tree propagates one cell from its
@@ -15,17 +13,12 @@ parent's outflow. A capacity-flow bound on every completion of a prefix
 (see :class:`PrefixTree`) and the radius prune the tree; the surviving
 leaves are scored by the certificate's kernel.
 
-Larger menus go to :func:`cut_and_bound`, the iterative MILP search.
-Its mixed-binary upper model is built once. Each round solves it for a
-candidate profile, evaluates that candidate exactly with the closed-form
-certificate, tightens the running upper and lower bounds, and appends
-the candidate's exclusion cut to the model. The loop stops when the
-relative gap closes, when the cuts make the upper model infeasible
-(every assignment visited), or when a wall-clock budget, which also
-covers the model build, runs out after at least one candidate with a
-finite value has been found.
-A budget alone never stops the search while every visited candidate is
-worthless: the loop keeps going until the first finite value appears.
+A time limit binds only on menus of more than ``DEFAULT_ENUM_CAP``
+profiles, so the answer on a menu under the cap is the same on every
+machine. Past the cap the walk checks its deadline between chunks; when
+the deadline has passed, the search stops with the best profile found so
+far, if any (termination ``time_limit``), and reports the root's
+capacity-flow bound as its upper bound.
 """
 
 from __future__ import annotations
@@ -33,37 +26,38 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import STATUS_FINITE, CertificateResult, _dual_totals, certificate
-from .errors import NumericalError
-# build_lower, solve_lp: unused, kept for perfbench/tracer.py TARGETS.
-from .linearize import (
-    SearchProblem,
-    assignment_of,
-    build_lower,
-    build_upper,
-    decode_profile,
-    eta_saturation,
-    exclude,
-)
-from .lpsolve import INFEASIBLE, OPTIMAL, TIME_LIMIT, solve_milp
-from .lpsolve import solve_milp as solve_lp
+from .certificate import STATUS_FINITE, CertificateResult, _dual_totals
+from .linearize import SearchProblem
 from .network import HighwayScenario, critical_density
-from .sampling import SampleSet, check_bounded, propagate_batch, propagate_speeds
+from .sampling import SampleSet, check_bounded, propagate_speeds
 from .validation import DEFAULT_ENUM_CAP, ENUM_CHUNK_ELEMENTS, profile_count
 
+# perfbench/tracer.py TARGETS looks these nine names up on this module with
+# getattr and no default, so they stay until the benchmark reads spans from
+# inside the product (ROADMAP item 3). The search calls none of them; the
+# last four name functions removed with the MILP search.
+from .certificate import certificate
+from .linearize import build_lower
+from .lpsolve import solve_milp
+from .lpsolve import solve_milp as solve_lp
+from .sampling import propagate_batch
+
+
+def _removed(*args, **kwargs):
+    raise NotImplementedError("removed with the MILP search")
+
+
+build_upper = decode_profile = assignment_of = eta_saturation = _removed
+
 TERM_ENUMERATED = "enumerated"
-TERM_GAP = "gap"
-TERM_EXHAUSTED = "upper_infeasible"
 TERM_TIME = "time_limit"
 
-DEFAULT_GAP_EPS = 1e-4
 # A prefix survives while its bound is within this fraction (of the
 # incumbent's magnitude, at least 1) below the incumbent, and while its
 # partial distance is within it above the radius: rounding in the
@@ -75,67 +69,57 @@ BLOCK_ELEMENTS = 1 << 12
 
 
 @dataclass(frozen=True)
-class IterationRecord:
-    k: int
-    assignment: tuple[int, ...]
-    u: tuple[float, ...]
-    upper_status: str
-    upper_value: float
-    ub: float
-    lb: float
-    certificate_value: float
-    node_count: int | None
-    wall: float
-
-
-@dataclass(frozen=True)
 class SolveReport:
     best_u: tuple[float, ...] | None
     best_value: float
     upper_bound: float
     gap: float
     termination: str
-    iterations: tuple[IterationRecord, ...]
     wall: float
-    certificate: object = None
-    # Prefixes the branch-and-bound propagated and, of those, discarded;
-    # None from cut_and_bound.
-    nodes_expanded: int | None = None
-    nodes_pruned: int | None = None
+    certificate: CertificateResult | None
+    # Prefixes the branch-and-bound propagated and, of those, discarded.
+    nodes_expanded: int
+    nodes_pruned: int
+    # Always empty: perfbench/tracer.py counts its entries as search rounds
+    # (ROADMAP item 3).
+    iterations: tuple = ()
 
     @property
     def feasible(self) -> bool:
         return self.best_u is not None and math.isfinite(self.best_value)
 
 
-def _relative_gap(ub: float, lb: float) -> float:
-    if not (math.isfinite(ub) and math.isfinite(lb)):
-        return math.inf
-    return (ub - lb) / max(1.0, abs(ub))
-
-
-def run_search(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
+def run_search(problem: SearchProblem,
                time_limit: float | None = None) -> SolveReport:
-    """Return the certified best profile: exact by branch-and-bound when
-    the menu has at most ``DEFAULT_ENUM_CAP`` profiles, else from
-    :func:`cut_and_bound`, to which gap_eps and time_limit apply. Both
-    are checked on every menu: each must be finite and positive, and
-    time_limit may also be None for no budget."""
-    if not (math.isfinite(gap_eps) and gap_eps > 0):
-        raise ValueError(f"gap_eps must be finite and positive, got {gap_eps!r}")
+    """Return the certified best profile, found by :func:`branch_and_bound`.
+
+    time_limit is a wall-clock budget in seconds, finite and positive, or
+    None for none. It is checked on every menu but binds only past
+    ``DEFAULT_ENUM_CAP`` profiles. A search it stops returns the best
+    profile found so far, or none, with termination ``time_limit`` and the
+    root's capacity-flow bound as upper bound; a search that finishes is
+    exact, with termination ``enumerated`` and gap 0."""
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
         raise ValueError(
             f"time_limit must be finite and positive, got {time_limit!r}")
-    if profile_count(problem.scenario) > DEFAULT_ENUM_CAP:
-        return cut_and_bound(problem, gap_eps, time_limit)
+    scenario, samples = problem.scenario, problem.samples
     start = time.monotonic()
-    best, cert, expanded, pruned = branch_and_bound(problem.scenario,
-                                                    problem.samples)
+    deadline = None
+    if time_limit is not None and profile_count(scenario) > DEFAULT_ENUM_CAP:
+        deadline = start + time_limit
+    best, cert, expanded, pruned, finished = branch_and_bound(scenario, samples,
+                                                              deadline)
     value = cert.value if cert is not None else -math.inf
+    if finished:
+        upper, gap, termination = value, 0.0, TERM_ENUMERATED
+    else:
+        upper = float(PrefixTree(scenario, samples).tail[0].max())
+        gap = (upper - value) / max(1.0, abs(upper))
+        termination = TERM_TIME
     return SolveReport(
         best_u=best.u if best is not None else None, best_value=value,
-        upper_bound=value, gap=0.0, termination=TERM_ENUMERATED,
-        iterations=(), wall=time.monotonic() - start, certificate=cert,
+        upper_bound=upper, gap=gap, termination=termination,
+        wall=time.monotonic() - start, certificate=cert,
         nodes_expanded=expanded, nodes_pruned=pruned,
     )
 
@@ -327,9 +311,10 @@ def _leaf_totals(scenario: HighwayScenario, speeds: np.ndarray, caps: np.ndarray
     return lams, totals
 
 
-def branch_and_bound(scenario: HighwayScenario, samples: SampleSet):
+def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
+                     deadline: float | None = None):
     """Find the best certified profile by prefix-shared branch-and-bound;
-    return (best, result, nodes expanded, nodes pruned).
+    return (best, result, nodes expanded, nodes pruned, finished).
 
     The answer is that of ``validation.exact_optimum``, bit for bit: each
     leaf is scored by the certificate's kernel on its own trajectories,
@@ -348,6 +333,11 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet):
     set) or when its :class:`PrefixTree` bound is more than
     ``PRUNE_MARGIN`` below the incumbent. Nodes count the prefixes
     propagated and, of those, pruned.
+
+    Before each chunk the walk reads ``time.monotonic()`` against
+    deadline, unless it is None; once the deadline has passed it stops,
+    with finished False and the best profile found so far as best and
+    result (None when there is none yet).
     """
     tree = PrefixTree(scenario, samples)
     n, N, T = scenario.n, samples.count, scenario.T
@@ -368,13 +358,18 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet):
         lams, totals = _leaf_totals(scenario, speeds, caps, rho)
         value, best = totals[0].max(), (lams[0], totals[0], speeds[0])
     expanded = pruned = 0
+    stopped = False
 
     def descend(parents: Prefixes) -> None:
-        nonlocal value, best, replaceable, expanded, pruned
+        nonlocal value, best, replaceable, expanded, pruned, stopped
         e = parents.length
         step = max(1, ENUM_CHUNK_ELEMENTS
                    // (len(scenario.bands[e]) * N * (e + 1) * (T + 1)))
         for i in range(0, parents.size, step):
+            stopped = stopped or (deadline is not None
+                                  and time.monotonic() >= deadline)
+            if stopped:
+                return
             chunk = parents if step >= parents.size else parents.take(
                 slice(i, i + step))
             cells = n - e if chunk.size * subtree[e] <= BLOCK_ELEMENTS else 1
@@ -401,7 +396,7 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet):
 
     descend(tree.root())
     if value == -math.inf:
-        return None, None, expanded, pruned
+        return None, None, expanded, pruned, not stopped
     lams, totals, speeds = best
     # The scan table of certificate(): sorted unique scales (a repeated
     # scale has the same total), ties to the smallest.
@@ -409,98 +404,5 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet):
     lambda_star, value = max(table, key=lambda row: row[1])
     result = CertificateResult(value=value, lambda_star=lambda_star,
                                status=STATUS_FINITE, table=tuple(table))
-    return scenario.speed_profile(speeds), result, expanded, pruned
+    return scenario.speed_profile(speeds), result, expanded, pruned, not stopped
 
-
-def cut_and_bound(problem: SearchProblem, gap_eps: float = DEFAULT_GAP_EPS,
-                  time_limit: float | None = None) -> SolveReport:
-    """Run the cut-and-bound loop and return the certified best profile."""
-    scenario = problem.scenario
-    start = time.monotonic()
-    upper = build_upper(problem)
-    visited: set[tuple[int, ...]] = set()
-    records: list[IterationRecord] = []
-    ub = math.inf
-    lb = -math.inf
-    best_u = None
-    best_cert = None
-    termination = None
-    k = 0
-
-    def report(term: str) -> SolveReport:
-        return SolveReport(
-            best_u=best_u, best_value=lb, upper_bound=ub,
-            gap=_relative_gap(ub, lb), termination=term,
-            iterations=tuple(records), wall=time.monotonic() - start,
-            certificate=best_cert,
-        )
-
-    while True:
-        k += 1
-        elapsed = time.monotonic() - start
-        out_of_time = time_limit is not None and elapsed >= time_limit
-        if out_of_time and math.isfinite(lb):
-            termination = TERM_TIME
-            break
-        budget = None
-        if time_limit is not None:
-            budget = max(time_limit - elapsed, 0.01)
-        sol = solve_milp(upper.model, time_limit=budget)
-        if sol.status == TIME_LIMIT and sol.x is None:
-            if math.isfinite(lb):
-                termination = TERM_TIME
-                break
-            # No usable candidate anywhere yet: the budget does not bite
-            # until one exists. Rerun with doubling budgets until the
-            # solver hands back an incumbent; an uncapped rerun would
-            # grind toward an optimality proof nobody needs here.
-            retry = max(budget, 1.0)
-            while sol.status == TIME_LIMIT and sol.x is None:
-                retry *= 2.0
-                sol = solve_milp(upper.model, time_limit=retry)
-        if sol.status == INFEASIBLE:
-            termination = TERM_EXHAUSTED
-            break
-        if sol.status not in (OPTIMAL, TIME_LIMIT):
-            raise NumericalError(
-                f"upper model ended {sol.status} at round {k}",
-                report=report("aborted"),
-            )
-        bound = sol.objective if sol.status == OPTIMAL else sol.bound
-        if bound is not None and not math.isnan(bound):
-            ub = min(ub, bound)
-        hits = eta_saturation(upper, sol)
-        if hits:
-            warnings.warn(
-                f"{len(hits)} dual multipliers at the configured cap; "
-                "upper bound may be truncated, raise eta_bar",
-                RuntimeWarning, stacklevel=2,
-            )
-        profile = decode_profile(upper, sol)
-        assignment = assignment_of(upper, sol)
-        if assignment in visited:
-            raise NumericalError(
-                f"candidate repeated at round {k}: assignment {assignment} "
-                "already visited",
-                report=report("aborted"),
-            )
-        visited.add(assignment)
-        exclude(upper, assignment)
-        batch = propagate_batch(scenario, profile, problem.samples)
-        cert = certificate(scenario, profile, batch)
-        if cert.value > lb:
-            lb = cert.value
-            best_u = profile.u
-            best_cert = cert
-        records.append(IterationRecord(
-            k=k, assignment=assignment, u=profile.u,
-            upper_status=sol.status,
-            upper_value=bound if bound is not None else math.nan,
-            ub=ub, lb=lb, certificate_value=cert.value,
-            node_count=sol.node_count, wall=time.monotonic() - start,
-        ))
-        if _relative_gap(ub, lb) <= gap_eps:
-            termination = TERM_GAP
-            break
-
-    return report(termination)

@@ -4,10 +4,9 @@ Three tools live here: the exact evaluator, which scores every
 admissible profile stacked, one propagation and one closed-form
 certificate evaluation per chunk (``brute-force``'s flat enumeration up
 to ``DEFAULT_ENUM_CAP`` profiles, and the ground truth that ``solve``'s
-branch-and-bound and the MILP search must match), a physical
-demand/supply traffic simulator used for congestion comparisons, and a
-fresh-sample Monte-Carlo check of the certificate's out-of-sample
-guarantee.
+branch-and-bound must match), a physical demand/supply traffic
+simulator used for congestion comparisons, and a fresh-sample
+Monte-Carlo check of the certificate's out-of-sample guarantee.
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities
@@ -73,7 +72,7 @@ def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
     if total > DEFAULT_ENUM_CAP:
         raise ValueError(
             f"{total} admissible profiles exceed the enumeration cap "
-            f"{DEFAULT_ENUM_CAP}; use the iterative search for instances this large"
+            f"{DEFAULT_ENUM_CAP}; use `solve` for instances this large"
         )
     speeds = np.array(list(itertools.product(*scenario.bands)), dtype=float)
     step = max(1, ENUM_CHUNK_ELEMENTS // (samples.rho0.size * scenario.T))
@@ -94,8 +93,8 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
 
     Profiles whose ambiguity set is empty are skipped. Ties go to the
     lexicographically smallest speed vector. Refuses when the product of
-    per-edge menu sizes exceeds ``DEFAULT_ENUM_CAP``; use the iterative
-    search instead.
+    per-edge menu sizes exceeds ``DEFAULT_ENUM_CAP``; use ``solve``
+    instead.
     """
     best, result = exact_optimum(scenario, samples)
     if best is None:

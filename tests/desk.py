@@ -8,7 +8,9 @@ extremes of rho0 and omega bound every possible draw.
 """
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -185,9 +187,22 @@ def vi_scenario(omega1=(2.0e4, 2.4e4), epsilon=None):
     return scenario, gen
 
 
+def corridor_config(cells):
+    """The config of ``data/highway5.json`` with plain 2 km cells appended,
+    each like its cell 2, up to ``cells`` cells; the incident cap stays on
+    cell 4. Its menu has 1,875 * 5 ** (cells - 5) profiles, so from 8
+    cells on it is past the enumeration cap."""
+    cfg = json.loads((Path(__file__).parent / "data" / "highway5.json").read_text())
+    extra = cells - cfg["n"]
+    cfg["n"], cfg["L_km"] = cells, 2.0 * cells
+    cfg["segments"] += [cfg["segments"][1]] * extra
+    cfg["disturbance"]["omega"] += [cfg["disturbance"]["omega"][1]] * extra
+    return cfg
+
+
 def reference_optimum(scenario, samples):
     """Per-profile enumeration loop: the oracle for the stacked evaluator
-    and the MILP search. Returns (best, value); raises when every profile
+    and the search. Returns (best, value); raises when every profile
     has an empty ambiguity set. Ties go to the first profile in product
     order, the lexicographically smallest speed vector."""
     best_u = None

@@ -3,6 +3,7 @@
 import numpy as np
 
 from vslcert.certificate import _dual_totals, flow_weights
+from vslcert.network import critical_density, wave_ratio
 
 
 def component_min(a: float, cap: float, r: float, lam: float) -> float:
@@ -17,3 +18,18 @@ def box_distance(scenario, profile, batch) -> float:
     _, dist = _dual_totals(a, scenario.critical_densities(profile)[None],
                            np.asarray(batch.rho)[None], a, scenario.epsilon)
     return float(dist[0])
+
+
+def allowable_flow(seg, rho: float, u: float) -> float:
+    """Flow supported at density ``rho`` under speed limit ``u``.
+
+    Free-flow branch ``u * rho`` up to the critical density, congested
+    branch ``wave_ratio * u_bar * (rho_bar - rho)`` beyond it.
+    """
+    if not (0 <= rho <= seg.rho_bar):
+        raise ValueError("density outside [0, rho_bar]")
+    if not (0 < u <= seg.u_bar):
+        raise ValueError("speed limit outside (0, u_bar]")
+    if rho <= critical_density(seg, u):
+        return u * rho
+    return wave_ratio(seg) * seg.u_bar * (seg.rho_bar - rho)

@@ -8,7 +8,6 @@ Every check takes seconds.
 import math
 
 import numpy as np
-import pytest
 
 import desk
 from vslcert.certificate import certificate
@@ -22,13 +21,7 @@ from vslcert.linearize import (
 from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_milp
 from vslcert.network import SegmentParams, admissible_speeds, critical_density
 from vslcert.sampling import generate_samples, propagate_batch
-from vslcert.search import (
-    TERM_ENUMERATED,
-    TERM_EXHAUSTED,
-    TERM_GAP,
-    cut_and_bound,
-    run_search,
-)
+from vslcert.search import TERM_ENUMERATED, PrefixTree, run_search
 from vslcert.validation import (
     UNCONTROLLED,
     ValidationConfig,
@@ -68,31 +61,6 @@ def dense_grid_value(scenario, profile, batch, epsilon, step=1e-4):
     vals = inner / r.shape[0] - lams * epsilon
     k = int(np.argmax(vals))
     return float(vals[k]), float(lams[k])
-
-
-@pytest.fixture(scope="module")
-def exhaustive_runs():
-    """Twenty MILP searches run to exhaustion, paired with the optimum of
-    the per-profile reference loop."""
-    runs = []
-    attempt = 0
-    while len(runs) < 20:
-        rng = np.random.default_rng(9000 + attempt)
-        attempt += 1
-        assert attempt < 400, "instance generator starved"
-        scenario, gen = desk.random_scenario(rng)
-        if math.prod(len(b) for b in scenario.bands) > 64:
-            continue
-        count = int(rng.integers(1, 4))
-        samples = desk.desk_samples(scenario, gen, count, seed=attempt)
-        try:
-            _, j_star = desk.reference_optimum(scenario, samples)
-        except InfeasibleScenarioError:
-            continue
-        problem = SearchProblem(scenario=scenario, samples=samples)
-        report = cut_and_bound(problem, gap_eps=1e-9)
-        runs.append((scenario, j_star, report))
-    return runs
 
 
 def test_reference_critical_density():
@@ -142,37 +110,59 @@ def test_lower_lp_matches_certificate():
           f"{unbounded} unbounded<->empty-set agreements")
 
 
-def test_search_matches_enumeration(exhaustive_runs):
-    worst = 0.0
-    for scenario, j_star, report in exhaustive_runs:
-        assert report.termination in (TERM_GAP, TERM_EXHAUSTED)
-        assert report.feasible
-        for value in (report.best_value, report.certificate.value):
-            rel = abs(value - j_star) / max(1.0, abs(j_star))
-            worst = max(worst, rel)
-            assert rel <= 1e-6, (value, j_star)
-    check("search matches enumeration",
-          True,
-          f"{len(exhaustive_runs)} exhausted searches within rel 1e-6 "
-          f"of enumeration (worst {worst:.2e})")
+def enumerated_desks(count=20):
+    """Random desk instances of at most 64 profiles with a finite optimum,
+    each with its optimum by the per-profile reference loop."""
+    attempt = 0
+    while count:
+        rng = np.random.default_rng(9000 + attempt)
+        attempt += 1
+        assert attempt < 400, "instance generator starved"
+        scenario, gen = desk.random_scenario(rng)
+        if math.prod(len(b) for b in scenario.bands) > 64:
+            continue
+        samples = desk.desk_samples(scenario, gen, int(rng.integers(1, 4)),
+                                    seed=attempt)
+        try:
+            u_star, j_star = desk.reference_optimum(scenario, samples)
+        except InfeasibleScenarioError:
+            continue
+        count -= 1
+        yield scenario, samples, u_star, j_star
 
 
-def test_bound_monotonicity(exhaustive_runs):
-    relaxation_ok = True
-    for scenario, j_star, report in exhaustive_runs:
-        log = report.iterations
-        ubs = [rec.ub for rec in log]
-        lbs = [rec.lb for rec in log if math.isfinite(rec.lb)]
-        assert all(a >= b - 1e-9 for a, b in zip(ubs, ubs[1:]))
-        assert all(a <= b + 1e-9 for a, b in zip(lbs, lbs[1:]))
-        for rec in log:
-            if math.isfinite(rec.lb):
-                assert rec.ub >= rec.lb - 1e-9
-        first = log[0].upper_value
-        relaxation_ok &= first >= j_star - 1e-6 * max(1.0, abs(j_star))
-    check("bound monotonicity", relaxation_ok,
-          f"UB nonincreasing, LB nondecreasing, UB>=LB and first relaxation "
-          f">= enumeration optimum across {len(exhaustive_runs)} logs")
+def test_search_matches_enumeration():
+    for scenario, samples, u_star, j_star in enumerated_desks():
+        report = run_search(SearchProblem(scenario=scenario, samples=samples))
+        assert report.termination == TERM_ENUMERATED
+        assert report.best_u == u_star.u
+        assert report.best_value == report.certificate.value == j_star
+    check("search matches enumeration", True,
+          "20 searches give the profile and value bits of the per-profile "
+          "enumeration loop")
+
+
+def test_bound_monotonicity():
+    # A search stopped by its time limit reports the root's capacity-flow
+    # bound as its upper bound; it must hold the optimum, and each prefix's
+    # bound must fall from parent to child.
+    worst = -math.inf
+    for scenario, samples, _, j_star in enumerated_desks():
+        tree = PrefixTree(scenario, samples)
+        root = tree.tail[0].max()
+        assert root >= j_star - 1e-9 * max(1.0, abs(j_star)), (root, j_star)
+        worst = max(worst, j_star / root)
+        parents, above = tree.root(), np.array([root])
+        for _ in range(scenario.n):
+            parents, _ = tree.children(parents)
+            above = above[parents.up[-1]]
+            assert (parents.bound
+                    <= above + 1e-12 * np.maximum(1.0, np.abs(above))).all()
+            above = parents.bound
+    check("bound monotonicity", True,
+          f"root bound >= enumeration optimum (largest optimum/bound "
+          f"{worst:.3f}) and prefix bounds nonincreasing from parent to child "
+          f"across 20 trees")
 
 
 def test_certificate_against_dense_grid():

@@ -52,8 +52,9 @@ def assert_matches_enumeration(scenario, samples, blocks=(BLOCK_ELEMENTS,)):
     the sentinel."""
     expected = exact_optimum(scenario, samples)
     for block in blocks:
-        best, result, expanded, pruned = solve_with_block(scenario, samples, block)
-        assert (best, result) == expected, block
+        best, result, expanded, pruned, finished = solve_with_block(scenario, samples,
+                                                                     block)
+        assert finished and (best, result) == expected, block
         assert 0 <= pruned <= expanded
     if expected[0] is None:
         assert (all_values(scenario, samples) == -math.inf).all()
@@ -141,8 +142,8 @@ def test_all_sentinel_menu_gives_none():
         scenario, gen = desk.sentinel_scenario(np.random.default_rng(seed), n=2, T=2)
         samples = desk.desk_samples(scenario, gen, 2, seed)
         for block in every_block(scenario, samples):
-            best, result, _, _ = solve_with_block(scenario, samples, block)
-            assert (best, result) == (None, None)
+            best, result, _, _, finished = solve_with_block(scenario, samples, block)
+            assert finished and (best, result) == (None, None)
 
 
 def test_prefix_bound_holds_on_every_completion():

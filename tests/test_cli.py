@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import desk
 import vslcert
 from vslcert.cli import build_parser, main
-from vslcert.errors import InfeasibleScenarioError, NumericalError
+from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import load_scenario, read_config
-from vslcert.search import DEFAULT_GAP_EPS
 
 DATA = Path(__file__).parent / "data"
 DESK = str(DATA / "desk2.json")
@@ -92,8 +92,7 @@ def test_solve_matches_brute_force(tmp_path):
     for row in res_rows:
         assert float(row["u"]) in menu
 
-    _, log = read_table(solve_dir / "report.csv")
-    assert log == []
+    assert not (solve_dir / "report.csv").exists()
 
 
 def test_budgeted_solve_reruns_identically(tmp_path):
@@ -108,7 +107,7 @@ def test_budgeted_solve_reruns_identically(tmp_path):
         runs.append({
             csv_name: [line for line in (tmp_path / name / csv_name).read_text()
                        .splitlines() if not line.startswith("# wall_s=")]
-            for csv_name in ("result.csv", "report.csv")
+            for csv_name in ("result.csv",)
         })
     assert runs[0] == runs[1]
     rc = main(["brute-force", "--scenario", HIGHWAY, "--out", str(tmp_path / "bf"),
@@ -137,9 +136,11 @@ def _src_env():
 
 
 def test_commands_start_without_scipy(tmp_path):
-    # scipy serves only the MILP search past the enumeration cap, so the
-    # commands that stay under it never import it; vslcert.lpsolve itself
-    # is still imported, without it.
+    # scipy is a test dependency: no command imports it, a solve past the
+    # enumeration cap included; vslcert.lpsolve itself is still imported,
+    # without it.
+    wide = tmp_path / "corridor8.json"
+    wide.write_text(json.dumps(desk.corridor_config(8)))
     script = f"""
 import json, sys
 from vslcert.cli import main
@@ -151,6 +152,8 @@ codes = [
     main(["solve", *common]),
     main(["validate", *common, "--speeds", "120,120,120,80,120",
           "--jhat", "1e5", "--nval", "50"]),
+    main(["solve", "--scenario", {str(wide)!r}, "--out", out + "/wide",
+          "--seed", "100", "--time-limit", "60"]),
 ]
 print(json.dumps({{
     "codes": codes,
@@ -162,7 +165,10 @@ print(json.dumps({{
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0, 0], "scipy": [], "lpsolve": True}
+    assert seen == {"codes": [0, 0, 0, 0, 0], "scipy": [], "lpsolve": True}
+    header, rows = read_table(tmp_path / "wide" / "result.csv")
+    assert header["termination"] == "enumerated"
+    assert [float(r["u"]) for r in rows] == [120, 120, 120, 80, 120, 120, 120, 100]
 
 
 def test_validate_outputs(tmp_path):
@@ -268,7 +274,7 @@ def test_validate_rejects_non_finite_jhat(tmp_path, capsys, jhat):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--gap", "nan"), ("--gap", "-1e-4"), ("--time-limit", "inf"),
+    ("--time-limit", "nan"), ("--time-limit", "-1"), ("--time-limit", "inf"),
     ("--time-limit", "0"),
 ])
 def test_solve_rejects_bad_budget(tmp_path, capsys, flag, value):
@@ -297,7 +303,7 @@ def test_malformed_json_is_config_error(tmp_path):
     ("epsilon", math.nan),
     ("epsilon", math.inf),
     ("L_km", math.nan),
-    ("eta_bar", math.nan),
+    ("pi", math.nan),
     ("disturbance", {"rho0": math.nan, "omega": 0.0}),
     ("epsilon", 10 ** 400),
     ("disturbance", {"rho0": {"lo": [1], "hi": 2}, "omega": 0.0}),
@@ -364,16 +370,6 @@ def test_sentinel_certificate_still_reports(tmp_path):
     assert table["status"] == "invalid_empty_ambiguity"
     assert float(table["value"]) == -math.inf
     assert float(table["lambda_star"]) == math.inf
-
-
-def test_numerical_failure_exit_code(tmp_path, monkeypatch):
-    def boom(problem, gap_eps, time_limit):
-        raise NumericalError("candidate repeated")
-
-    monkeypatch.setattr("vslcert.cli.run_search", boom)
-    rc = main(["solve", "--scenario", DESK, "--out", str(tmp_path),
-               "--count", "2"])
-    assert rc == 4
 
 
 @pytest.mark.parametrize("disturbance", [{"rho0": 1e307}, {"omega": 1.7e308}])
@@ -524,8 +520,7 @@ def test_solve_and_brute_force_agree(tmp_path, name, seed):
     codes = [main(["solve", *common, "--out", str(tmp_path / "solve")]),
              main(["brute-force", *common, "--out", str(tmp_path / "bf")])]
     header, rows = read_table(tmp_path / "solve" / "result.csv")
-    report, _ = read_table(tmp_path / "solve" / "report.csv")
-    assert int(report["nodes_pruned"]) <= int(report["nodes_expanded"])
+    assert int(header["nodes_pruned"]) <= int(header["nodes_expanded"])
     if name == "sentinel2":
         assert codes == [3, 3]
         assert header["feasible"] == "False"
@@ -536,21 +531,36 @@ def test_solve_and_brute_force_agree(tmp_path, name, seed):
     assert float(header["j_hat"]) == float(bf_header["j_star"])
 
 
-def test_report_nodes_are_none_past_the_cap(tmp_path, monkeypatch):
+def test_nodes_are_counted_past_the_cap(tmp_path, monkeypatch):
     monkeypatch.setattr("vslcert.search.DEFAULT_ENUM_CAP", 0)
     assert main(["solve", "--scenario", DESK, "--out", str(tmp_path)]) == 0
-    report, _ = read_table(tmp_path / "report.csv")
-    assert report["termination"] != "enumerated"
-    assert report["nodes_expanded"] == report["nodes_pruned"] == "none"
-    result, _ = read_table(tmp_path / "result.csv")
-    assert "nodes_expanded" not in result
+    header, _ = read_table(tmp_path / "result.csv")
+    assert header["termination"] == "enumerated"
+    assert 0 <= int(header["nodes_pruned"]) <= int(header["nodes_expanded"])
+    assert "gap_eps" not in header
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.csv"]
+
+
+def test_stopped_solve_without_incumbent_exits_3(tmp_path):
+    # On the 10-cell corridor at seed 100 the top-of-band seed has an empty
+    # ambiguity set, so a search stopped at its first chunk has no profile.
+    wide = tmp_path / "corridor10.json"
+    wide.write_text(json.dumps(desk.corridor_config(10)))
+    rc = main(["solve", "--scenario", str(wide), "--out", str(tmp_path),
+               "--seed", "100", "--time-limit", "1e-9"])
+    assert rc == 3
+    header, rows = read_table(tmp_path / "result.csv")
+    assert (header["termination"], header["feasible"]) == ("time_limit", "False")
+    assert (header["j_hat"], header["gap"]) == ("-inf", "inf")
+    assert math.isfinite(float(header["upper_bound"]))
+    assert rows == []
 
 
 # main builds its parser once per process and reuses it. The parser's
 # set_defaults(func=cmd_*) binds the command functions at that first
 # build, so a monkeypatch of vslcert.cli.cmd_* made after it is not seen;
 # patch the names those commands call instead, as
-# test_numerical_failure_exit_code patches vslcert.cli.run_search.
+# test_nodes_are_counted_past_the_cap patches vslcert.search.DEFAULT_ENUM_CAP.
 
 
 def masked_outputs(out):
@@ -572,9 +582,9 @@ def test_failed_parse_leaves_the_parser_as_it_was(tmp_path):
     assert main(["solve", *common, "--out", str(tmp_path / "before")]) == 0
     err = io.StringIO()
     with redirect_stderr(err), pytest.raises(SystemExit) as exc:
-        main(["solve", *common, "--gap", "x", "--out", str(tmp_path / "bad")])
+        main(["solve", *common, "--time-limit", "x", "--out", str(tmp_path / "bad")])
     assert exc.value.code == 2
-    assert "--gap: invalid float value: 'x'" in err.getvalue()
+    assert "--time-limit: invalid float value: 'x'" in err.getvalue()
     assert main(["solve", *common, "--out", str(tmp_path / "after")]) == 0
     assert not (tmp_path / "bad").exists()
     assert masked_outputs(tmp_path / "after") == masked_outputs(tmp_path / "before")
@@ -583,15 +593,12 @@ def test_failed_parse_leaves_the_parser_as_it_was(tmp_path):
 def test_options_do_not_leak_into_the_next_call(tmp_path):
     """Options given to one call leave the next call its defaults."""
     assert main(["solve", "--scenario", DESK, "--out", str(tmp_path / "set"),
-                 "--gap", "0.5", "--time-limit", "3", "--count", "2",
-                 "--seed", "4"]) == 0
+                 "--time-limit", "3", "--count", "2", "--seed", "4"]) == 0
     header, _ = read_table(tmp_path / "set" / "result.csv")
-    assert (header["gap_eps"], header["time_limit"], header["count"],
-            header["seed"]) == ("0.5", "3.0", "2", "4")
+    assert (header["time_limit"], header["count"], header["seed"]) == ("3.0", "2", "4")
     assert main(["solve", "--scenario", DESK, "--out", str(tmp_path / "bare")]) == 0
     header, _ = read_table(tmp_path / "bare" / "result.csv")
-    assert (header["gap_eps"], header["time_limit"], header["count"],
-            header["seed"]) == (repr(DEFAULT_GAP_EPS), "none", "3", "0")
+    assert (header["time_limit"], header["count"], header["seed"]) == ("none", "3", "0")
 
 
 CALLS = {
@@ -618,7 +625,7 @@ codes = [run(command, {str(tmp_path / "first")!r})]
 for name in calls:
     codes.append(run(name, {str(tmp_path / "others")!r} + "/" + name))
 try:
-    main(["solve", "--scenario", {DESK!r}, "--gap", "x"])
+    main(["solve", "--scenario", {DESK!r}, "--time-limit", "x"])
 except SystemExit as exc:
     codes.append(exc.code)
 codes.append(run(command, {str(tmp_path / "last")!r}))

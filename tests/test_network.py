@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import allowable_flow
 from vslcert.errors import ConfigError, InfeasibleScenarioError
 from vslcert.network import (
     DEFAULT_JAM_MARGIN,
@@ -15,7 +16,6 @@ from vslcert.network import (
     HighwayScenario,
     SegmentParams,
     admissible_speeds,
-    allowable_flow,
     critical_density,
     eta_coefficient,
     load_scenario,
@@ -188,6 +188,15 @@ def test_loader_accepts_the_ignored_beta_key():
     assert load_scenario(cfg).n == 5
 
 
+def test_loader_accepts_the_ignored_eta_bar_key():
+    # A retired knob of the removed MILP search: any value still loads,
+    # to the scenario the file gives without it.
+    cfg = vi_scenario_dict()
+    plain = load_scenario(cfg)
+    cfg["eta_bar"] = math.nan
+    assert load_scenario(cfg) == plain
+
+
 def test_loader_reports_missing_key_with_path():
     cfg = vi_scenario_dict()
     del cfg["delta_s"]
@@ -203,7 +212,7 @@ def test_loader_reports_bad_segment_field():
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("path", ["epsilon", "L_km", "eta_bar", "pi",
+@pytest.mark.parametrize("path", ["epsilon", "L_km", "pi",
                                   "segments[3].rho_U", "gamma[4]"])
 def test_loader_rejects_non_finite_numbers(path, value):
     cfg = vi_scenario_dict()

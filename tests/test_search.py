@@ -1,20 +1,16 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import desk
-from vslcert.errors import NumericalError
-from vslcert.linearize import SearchProblem, assignment_of
-from vslcert.search import (
-    TERM_ENUMERATED,
-    TERM_EXHAUSTED,
-    TERM_GAP,
-    TERM_TIME,
-    cut_and_bound,
-    run_search,
-)
+from vslcert import search, validation
+from vslcert.certificate import certificate
+from vslcert.linearize import SearchProblem
+from vslcert.network import load_scenario
+from vslcert.sampling import generate_samples, load_generator, propagate_batch
+from vslcert.search import TERM_ENUMERATED, TERM_TIME, run_search
+from vslcert.validation import exact_optimum
 
 
 def build_problem(seed, **kw):
@@ -24,120 +20,101 @@ def build_problem(seed, **kw):
     return SearchProblem(sc, samples)
 
 
-def assignment_count(scenario):
-    return int(np.prod([len(b) for b in scenario.bands]))
+@pytest.fixture(scope="module")
+def long_corridor():
+    """The 8-cell corridor (234,375 profiles, past the enumeration cap) with
+    three draws at seed 100, and its optimum by the flat enumeration with
+    the cap lifted (about 3 s and 80 MB)."""
+    cfg = desk.corridor_config(8)
+    scenario = load_scenario(cfg)
+    samples = generate_samples(load_generator(cfg, scenario.n), 3, scenario.T, 100)
+    assert validation.profile_count(scenario) > validation.DEFAULT_ENUM_CAP
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(validation, "DEFAULT_ENUM_CAP", 300_000)
+        best, result = exact_optimum(scenario, samples)
+    return SearchProblem(scenario, samples), best, result
 
 
-def test_single_candidate_exhausts_in_one_round():
-    problem = build_problem(1, n=1, T=2, menu_size=1)
-    report = cut_and_bound(problem)
-    assert report.termination in (TERM_GAP, TERM_EXHAUSTED)
-    assert len(report.iterations) == 1
-    assert report.feasible
-    rec = report.iterations[0]
-    assert report.best_u == rec.u
-    assert report.best_value == pytest.approx(rec.certificate_value, rel=1e-9)
+def test_matches_exact_optimum_past_the_cap(long_corridor):
+    problem, best, result = long_corridor
+    report = run_search(problem, time_limit=60.0)
+    assert report.termination == TERM_ENUMERATED
+    assert report.best_u == best.u
+    assert report.certificate == result
+    assert report.best_value == report.upper_bound == result.value
+    assert report.gap == 0.0
+    assert 0 <= report.nodes_pruned <= report.nodes_expanded
 
 
-def test_small_grid_matches_brute_force():
+def test_time_limit_stops_with_best_so_far(long_corridor):
+    # The deadline has passed at the first chunk, so the search stops with
+    # its seed, the top-of-band profile, as incumbent.
+    problem, _, optimum = long_corridor
+    report = run_search(problem, time_limit=1e-9)
+    assert report.termination == TERM_TIME
+    assert report.upper_bound >= optimum.value
+    assert report.best_u == tuple(band[-1] for band in problem.scenario.bands)
+    assert report.best_value <= optimum.value
+    profile = problem.scenario.speed_profile(report.best_u)
+    own = certificate(problem.scenario, profile,
+                      propagate_batch(problem.scenario, profile, problem.samples))
+    assert report.certificate == own
+    assert report.best_value == own.value
+    assert report.gap == (report.upper_bound - own.value) / abs(report.upper_bound)
+
+
+def test_small_grid_matches_brute_force(monkeypatch):
+    # With the cap at 0 every menu takes the budgeted path; a budget the
+    # walk does not reach leaves the answer exact.
+    monkeypatch.setattr(search, "DEFAULT_ENUM_CAP", 0)
     found = 0
     seed = 100
     while found < 3:
         seed += 1
         problem = build_problem(seed, n=2, T=2, menu_size=2)
-        if assignment_count(problem.scenario) < 2:
+        if validation.profile_count(problem.scenario) < 2:
             continue
         found += 1
-        report = cut_and_bound(problem)
+        report = run_search(problem, time_limit=60.0)
         u_star, j_star = desk.reference_optimum(problem.scenario, problem.samples)
-        assert report.feasible
-        assert report.best_value == pytest.approx(j_star, rel=1e-6)
-        # near-ties may pick another profile; its exact value must still
-        # match the enumerated optimum
-        assert report.certificate.value == pytest.approx(j_star, rel=1e-6)
-        assert len(report.iterations) <= assignment_count(problem.scenario)
+        assert report.termination == TERM_ENUMERATED
+        assert report.best_u == u_star.u
+        assert report.best_value == report.certificate.value == j_star
 
 
-def test_bound_monotonicity_and_sandwich():
-    for seed in (7, 9):
+def test_bound_monotonicity_and_sandwich(monkeypatch):
+    # A search stopped at once and one that finishes bound the optimum
+    # from both sides, and the finished one's bounds are the tighter.
+    monkeypatch.setattr(search, "DEFAULT_ENUM_CAP", 0)
+    for seed in (7, 9, 13):
         problem = build_problem(seed, n=2, T=2, menu_size=2)
-        report = cut_and_bound(problem)
-        ubs = [r.ub for r in report.iterations]
-        lbs = [r.lb for r in report.iterations]
-        assert all(a >= b - 1e-9 for a, b in zip(ubs, ubs[1:]))
-        assert all(a <= b + 1e-9 for a, b in zip(lbs, lbs[1:]))
-        for r in report.iterations:
-            assert r.ub >= r.lb - 1e-9
-            # upper solves dominate every exact candidate value
-            assert r.ub >= r.certificate_value - 1e-9
+        _, j_star = desk.reference_optimum(problem.scenario, problem.samples)
+        stopped = run_search(problem, time_limit=1e-9)
+        done = run_search(problem, time_limit=60.0)
+        assert (stopped.termination, done.termination) == (TERM_TIME, TERM_ENUMERATED)
+        assert stopped.best_value <= done.best_value == j_star
+        assert j_star == done.upper_bound <= stopped.upper_bound
+        assert stopped.gap >= done.gap == 0.0
 
 
-def test_no_assignment_repeats():
-    problem = build_problem(13, n=2, T=2, menu_size=2)
-    report = cut_and_bound(problem)
-    seen = [r.assignment for r in report.iterations]
-    assert len(seen) == len(set(seen))
-
-
-def test_repeated_candidate_raises(monkeypatch):
-    """A solver answer already visited aborts the search with its report."""
-    problem = build_problem(13, n=2, T=2, menu_size=2)
-    if assignment_count(problem.scenario) < 2:
-        pytest.skip("needs a second round")
-    first = []
-
-    def stuck(upper, solution):
-        first.append(assignment_of(upper, solution))
-        return first[0]
-
-    monkeypatch.setattr("vslcert.search.assignment_of", stuck)
-    with pytest.raises(NumericalError, match="already visited") as info:
-        cut_and_bound(problem, gap_eps=1e-12)
-    report = info.value.report
-    assert report.termination == "aborted"
-    assert [r.assignment for r in report.iterations] == [first[0]]
-
-
-def test_all_sentinel_search_is_infeasible():
+def test_all_sentinel_search_is_infeasible(monkeypatch):
     rng = np.random.default_rng(23)
     sc, gen = desk.sentinel_scenario(rng, n=2, T=2)
     samples = desk.desk_samples(sc, gen, 2, 0)
     problem = SearchProblem(sc, samples)
-    report = cut_and_bound(problem)
-    assert report.termination == TERM_EXHAUSTED
-    assert not report.feasible
-    assert report.best_u is None
-    assert report.best_value == -math.inf
-    assert all(r.certificate_value == -math.inf for r in report.iterations)
-
-
-def test_gap_termination_reports_closed_gap():
-    problem = build_problem(29, n=1, T=2, menu_size=2)
-    report = cut_and_bound(problem, gap_eps=1e9)
-    # an absurdly loose tolerance stops at the first finite candidate
-    assert report.termination == TERM_GAP
-    assert len(report.iterations) == 1
-    assert report.gap <= 1e9
-
-
-def test_time_limit_stops_with_best_so_far():
-    problem = build_problem(31, n=2, T=2, menu_size=2)
-    if assignment_count(problem.scenario) < 3:
-        pytest.skip("needs a few candidates")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        report = cut_and_bound(problem, time_limit=1e-9)
-    # the budget expires immediately, yet a finite candidate must exist
-    # before the loop is allowed to stop
-    assert report.termination == TERM_TIME
-    assert report.feasible
-    assert len(report.iterations) >= 1
+    for cap in (validation.DEFAULT_ENUM_CAP, 0):
+        monkeypatch.setattr(search, "DEFAULT_ENUM_CAP", cap)
+        report = run_search(problem, time_limit=60.0)
+        assert report.termination == TERM_ENUMERATED
+        assert not report.feasible
+        assert report.best_u is None
+        assert report.certificate is None
+        assert report.best_value == report.upper_bound == -math.inf
 
 
 def test_small_grid_is_enumerated_exactly():
-    # The budget and the gap tolerance apply to the MILP search only: a
-    # menu under the enumeration cap is solved exactly however short the
-    # budget.
+    # The budget applies past the enumeration cap only: a menu under it is
+    # solved exactly however short the budget.
     for seed in (101, 103, 107):
         problem = build_problem(seed, n=2, T=2, menu_size=2)
         report = run_search(problem, time_limit=1e-9)
@@ -149,18 +126,13 @@ def test_small_grid_is_enumerated_exactly():
         assert report.best_value == report.upper_bound == j_star
 
 
-def test_gap_eps_validation():
+def test_time_limit_validation():
     # checked before the menu is sized, so an enumerated menu rejects a
     # bad budget too
     problem = build_problem(37, n=1, T=1, menu_size=1)
-    with pytest.raises(ValueError):
-        run_search(problem, gap_eps=0.0)
-    for budget in ({"gap_eps": math.nan}, {"gap_eps": math.inf},
-                   {"gap_eps": -1e-4}, {"time_limit": math.nan},
-                   {"time_limit": math.inf}, {"time_limit": 0.0},
-                   {"time_limit": -1.0}):
+    for budget in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="finite and positive"):
-            run_search(problem, **budget)
+            run_search(problem, time_limit=budget)
 
 
 def test_report_certificate_matches_best():

@@ -157,8 +157,8 @@ def test_brute_force_respects_enumeration_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("vslcert.validation.propagate_speeds", enumerated)
     rc = main(["brute-force", "--scenario", str(path), "--out", str(tmp_path)])
     assert rc == 2
-    assert "390625 admissible profiles exceed the enumeration cap 100000" \
-        in capsys.readouterr().err
+    assert ("390625 admissible profiles exceed the enumeration cap 100000; "
+            "use `solve`") in capsys.readouterr().err
     assert not (tmp_path / "brute_force.csv").exists()
 
 
