@@ -126,6 +126,42 @@ def test_small_grid_is_enumerated_exactly():
         assert report.best_value == report.upper_bound == j_star
 
 
+def test_single_candidate_exhausts_in_one_round(monkeypatch):
+    # A one-profile menu is proved optimal by its single leaf, on both
+    # sides of the enumeration cap.
+    problem = build_problem(1, n=1, T=2, menu_size=1)
+    assert validation.profile_count(problem.scenario) == 1
+    only = tuple(band[0] for band in problem.scenario.bands)
+    profile = problem.scenario.speed_profile(only)
+    own = certificate(problem.scenario, profile,
+                      propagate_batch(problem.scenario, profile, problem.samples))
+    for cap in (validation.DEFAULT_ENUM_CAP, 0):
+        monkeypatch.setattr(search, "DEFAULT_ENUM_CAP", cap)
+        report = run_search(problem, time_limit=60.0)
+        assert report.termination == TERM_ENUMERATED
+        assert report.iterations == ()
+        assert report.feasible
+        assert report.best_u == only
+        assert report.certificate == own
+        assert report.best_value == report.upper_bound == own.value
+
+
+def test_gap_termination_reports_closed_gap(monkeypatch):
+    # A search that finishes reports its gap closed; one stopped by the
+    # budget reports the distance to the root's bound.
+    monkeypatch.setattr(search, "DEFAULT_ENUM_CAP", 0)
+    problem = build_problem(29, n=1, T=2, menu_size=2)
+    done = run_search(problem, time_limit=60.0)
+    assert done.termination == TERM_ENUMERATED
+    assert done.gap == 0.0
+    assert done.upper_bound == done.best_value
+    stopped = run_search(problem, time_limit=1e-9)
+    assert stopped.termination == TERM_TIME
+    assert stopped.gap == ((stopped.upper_bound - stopped.best_value)
+                           / max(1.0, abs(stopped.upper_bound)))
+    assert stopped.gap >= 0.0
+
+
 def test_time_limit_validation():
     # checked before the menu is sized, so an enumerated menu rejects a
     # bad budget too
