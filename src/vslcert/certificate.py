@@ -11,22 +11,29 @@ Each trajectory component r contributes the minimum over the box
 ``[0, cap]`` (cap = critical density under the posted limit) of
 ``lam * |rho - r| + a * rho``. Below the box, inside it and above it
 alike that minimum is ``lam * |anchor - r| + min(lam, a) * anchor``, with
-anchor = clip(r, 0, cap) the nearest point of the box. Summed over the
-draws, cells and steps and divided by the number of draws, a profile's
-dual objective is therefore
+anchor = clip(r, 0, cap) the nearest point of the box. A profile's dual
+objective is therefore built from two per-cell sums:
 
-    lam * dist + sum_e min(lam, a_e) * mass_e - lam * epsilon,
+    mass_e, dist_e = the anchors and the distances |anchor - r| of cell e,
+                     each summed over the steps, then over the draws in
+                     draw order, then divided by the number of draws;
+    partial(lam)   = sum_e min(lam, a_e) * mass_e;
+    dist           = sum_e dist_e;
+    value          = max over lam in {0, a_1..a_n} of
+                     partial(lam) + lam * (min(dist, eps) - eps),
 
-where ``dist`` is the mean distance of the trajectories to the box and
-``mass_e`` the per-cell sum of the anchors over draws and steps, divided
-by the number of draws. When ``epsilon < dist`` no distribution in the
-ball is supported on the box and the value is the sentinel -inf.
+with both sums over the cells running in cell order. When
+``epsilon < dist`` no distribution in the ball is supported on the box
+and the value is the sentinel -inf.
 
-:func:`_dual_totals` evaluates this closed form for a stack of profiles,
-summing in an order that does not depend on the stack, so
-:func:`certificate` (one profile, its sorted breakpoints) and
-:func:`menu_values` (many profiles, each at its own breakpoints) give a
-profile the same value to the last bit.
+Cell e's terms depend only on the prefix ``u_1..u_e`` of the profile, so
+the search's prefix tree (``search.PrefixTree``) carries ``partial`` and
+``dist`` from parent to child with :func:`add_cells` and scores a whole
+profile with :func:`dual_totals`. :func:`certificate` runs the same two
+functions on one profile. Each sum runs in an order that does not depend
+on what the profile is stacked with: the step sum over a contiguous row,
+the draw and cell sums as cumulative sums. So a profile has the same
+value bits in ``certify``, ``brute-force`` and ``solve``.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import HighwayScenario, SpeedProfile, critical_density
+from .network import HighwayScenario, SpeedProfile
 from .sampling import TrajectoryBatch
 
 STATUS_FINITE = "finite"
@@ -70,35 +77,58 @@ def average_flow(profile: SpeedProfile, traj: np.ndarray):
     return float(flow) if flow.ndim == 0 else flow
 
 
-def _dual_totals(a: np.ndarray, caps: np.ndarray, rho: np.ndarray,
-                 lams: np.ndarray, epsilon: float):
-    """Dual objective of P stacked profiles at their scales, and their
-    box distances.
+def add_cells(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,
+              a: np.ndarray, caps, traj: np.ndarray):
+    """Add c cells, in cell order, to running sums: partial (..., L) at
+    the scales lams (L,), and dist (...).
 
-    a and caps are (P, n), rho (P, N, n, T) and lams (P, L). Returns the
-    totals (P, L), -inf on every row whose ambiguity set is empty, and
-    the distances (P,), inf past the float range.
+    traj (..., N, c, T) holds N draws of the cells over T steps, caps
+    their critical densities, broadcasting against (..., N, c), and a
+    (..., c) their flow weights. Each cell's anchor mass and box distance
+    are summed over the steps, then over the draws in draw order, then
+    divided by N; dist is inf past the float range.
     """
-    count = rho.shape[1]
-    anchor = np.clip(rho, 0.0, caps[:, None, :, None])
-    # Each sum runs over steps, then draws (mass), or over one profile's
-    # contiguous block (dist), so a profile's sums do not depend on how
-    # many profiles are stacked with it.
-    mass = anchor.sum(axis=3).sum(axis=1) / count
-    anchor -= rho  # now anchor - rho, with no temporary of rho's size
+    # The anchors and their distances, stacked so that one call sums both.
+    anchor, gap = terms = np.empty((2,) + traj.shape)
+    np.maximum(traj, 0.0, out=anchor)
+    np.minimum(anchor, np.asarray(caps)[..., None], out=anchor)
+    np.subtract(anchor, traj, out=gap)
+    np.abs(gap, out=gap)
     with np.errstate(over="ignore"):
-        dist = np.abs(anchor, out=anchor).sum(axis=(1, 2, 3)) / count
-    # (P, L, n): one term per profile, scale and cell.
-    per_cell = np.minimum(lams[:, :, None], a[:, None, :])
-    per_cell *= mass[:, None, :]
+        # Cumulative sums add one draw, and below one cell, at a time,
+        # whatever the layout.
+        mass, cell_dist = terms.sum(axis=-1).cumsum(axis=-2)[..., -1, :] / traj.shape[-3]
+        terms = np.minimum(lams, a[..., None]) * mass[..., None]
+        terms[..., 0, :] += partial
+        cell_dist[..., 0] += dist
+        return terms.cumsum(axis=-2)[..., -1, :], cell_dist.cumsum(axis=-1)[..., -1]
+
+
+def dual_totals(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,
+                epsilon: float) -> np.ndarray:
+    """The dual objective (..., L) of whole profiles at the scales lams
+    from their running sums, -inf on every row whose ambiguity set is
+    empty."""
     # lam * (dist - epsilon) <= 0; near the float maximum it overflows to
     # -inf, its exact limit, and the scale zero still wins. An empty row
     # has dist > epsilon (perhaps inf); it takes -inf below instead.
     slack = np.minimum(dist, epsilon) - epsilon
     with np.errstate(over="ignore"):
-        totals = per_cell.sum(axis=2) + lams * slack[:, None]
+        totals = partial + lams * slack[..., None]
     totals[epsilon < dist] = -math.inf
-    return totals, dist
+    return totals
+
+
+def scan_result(lams: np.ndarray, totals: np.ndarray) -> CertificateResult:
+    """The finite certificate of a dual objective scanned at its sorted
+    scales lams: the largest total, ties to the smallest scale."""
+    best = int(np.argmax(totals))
+    return CertificateResult(
+        value=float(totals[best]),
+        lambda_star=float(lams[best]),
+        status=STATUS_FINITE,
+        table=tuple(zip(lams.tolist(), totals.tolist())),
+    )
 
 
 def certificate(
@@ -120,38 +150,11 @@ def certificate(
     if rho.shape[1] != scenario.n or rho.shape[2] != scenario.T:
         raise ValueError("trajectory batch dimensions do not match the scenario")
     a = flow_weights(scenario, profile)
-    lams = np.unique(np.concatenate(([0.0], a)))
-    totals, dist = _dual_totals(a[None], scenario.critical_densities(profile)[None],
-                                rho[None], lams[None], scenario.epsilon)
+    lams = np.array(sorted({0.0, *a.tolist()}))
+    partial, dist = add_cells(np.zeros((1, len(lams))), np.zeros(1), lams, a[None],
+                              scenario.critical_densities(profile), rho[None])
     if scenario.epsilon < dist[0]:
         return CertificateResult(
             value=-math.inf, lambda_star=math.inf, status=STATUS_EMPTY, table=()
         )
-    totals = totals[0]
-    best = int(np.argmax(totals))
-    return CertificateResult(
-        value=float(totals[best]),
-        lambda_star=float(lams[best]),
-        status=STATUS_FINITE,
-        table=tuple((float(l), float(v)) for l, v in zip(lams, totals)),
-    )
-
-
-def menu_values(scenario: HighwayScenario, speeds: np.ndarray,
-                rho: np.ndarray) -> np.ndarray:
-    """Certified value of each of P stacked profiles, -inf where the
-    ambiguity set is empty: the value :func:`certificate` gives each
-    profile, bit for bit.
-
-    speeds (P, n) are rows of admissible speeds and rho (P, N, n, T) their
-    trajectories. Each profile is scanned at its own breakpoints, zero
-    and its flow weights; repeated scales change no maximum.
-    """
-    caps = np.empty_like(speeds)
-    for e, (seg, band) in enumerate(zip(scenario.segments, scenario.bands)):
-        for v in band:
-            caps[speeds[:, e] == v, e] = critical_density(seg, v)
-    a = speeds / scenario.T
-    lams = np.concatenate((np.zeros((len(a), 1)), a), axis=1)
-    totals, _ = _dual_totals(a, caps, rho, lams, scenario.epsilon)
-    return totals.max(axis=1)
+    return scan_result(lams, dual_totals(partial, dist, lams, scenario.epsilon)[0])

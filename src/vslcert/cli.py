@@ -3,8 +3,8 @@
 Five subcommands: simulate (linear propagation under a given profile),
 certify (closed-form certificate for a profile), solve (certified
 search by branch-and-bound, exact unless a time limit stops it past the
-enumeration cap), brute-force (flat enumeration of every profile, the
-check on solve), validate (fresh-sample out-of-sample check). Every
+enumeration cap), brute-force (every profile scored, the check on
+solve), validate (fresh-sample out-of-sample check). Every
 output is a CSV with "# key=value" comment lines followed by a
 column-name row; all randomness flows through the --seed flag and the
 seed is recorded in the headers, so reruns are bit-identical except for
@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import certificate
-from .errors import ConfigError, InfeasibleScenarioError
+from .errors import ConfigError, DisturbanceOverflowError, InfeasibleScenarioError
 from .linearize import SearchProblem
 from .network import load_scenario, read_config
 from .sampling import generate_samples, load_generator, propagate_batch, read_samples
@@ -277,6 +277,8 @@ def main(argv=None) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except ValueError as exc:  # ConfigError included
+        if isinstance(exc, DisturbanceOverflowError) and getattr(args, "samples", None):
+            exc = ConfigError(args.samples, str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

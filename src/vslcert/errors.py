@@ -12,6 +12,10 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+class DisturbanceOverflowError(ValueError):
+    """Raised when finite disturbances propagate past the float range."""
+
+
 class InfeasibleScenarioError(RuntimeError):
     """Raised when no admissible speed profile exists for a scenario."""
 

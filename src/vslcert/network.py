@@ -96,8 +96,10 @@ def admissible_speeds(
 
     A grid value qualifies when its peak flow fits under ``f_U`` and its
     critical density stays ``jam_margin`` below ``rho_U``. Peak flow grows
-    with the limit and critical density shrinks, so the result is a
-    contiguous band of the ordered grid.
+    with the limit and critical density shrinks, so the qualifying values
+    form a contiguous run of the ordered grid. The band is the first run
+    of qualifying values: the rounded peak flow ``rc * g`` need not grow
+    with g at the flow cap, and must not split the band.
     """
     if not gamma:
         raise ValueError("speed grid is empty")
@@ -106,6 +108,8 @@ def admissible_speeds(
         rc = critical_density(seg, g)
         if rc * g <= seg.f_U and rc <= seg.rho_U - jam_margin:
             band.append(g)
+        elif band:
+            break
     if not band:
         raise InfeasibleScenarioError(
             "no admissible speed: every grid value violates the incident caps"

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DisturbanceOverflowError
 from .network import HighwayScenario, SpeedProfile, config_number, reject_unknown_keys
 
 # Validation seeds are derived from training seeds by this fixed offset so
@@ -203,39 +203,45 @@ def propagate(
 ) -> np.ndarray:
     """Density trajectories for slots t = 1..T under the recursion: (n, T)
     for one ``DisturbanceSample``, (N, n, T) for a ``SampleSet``. Only the
-    first T disturbance steps are read."""
-    return propagate_speeds(scenario, profile.as_array(), sample)
-
-
-def propagate_speeds(
-    scenario: HighwayScenario, u: np.ndarray,
-    sample: DisturbanceSample | SampleSet,
-) -> np.ndarray:
-    """The recursion of :func:`propagate` under a speed array ``u`` that
-    broadcasts against the draws: (n,) for one profile, or P profiles
-    stacked as (P, 1, n), giving trajectories (P, N, n, T) for a
-    ``SampleSet``. Each element is computed as :func:`propagate` computes
-    it, so every profile's trajectories keep their bits.
+    first T disturbance steps are read.
 
     Raises ValueError when the flows of the trajectories, summed over the
     cells and steps as every objective sums them, could pass the float
     range: a finite disturbance can still be too large to propagate."""
-    T, h = scenario.T, scenario.h
     if sample.rho0.shape[-1] != scenario.n:
         raise ValueError("sample edge count does not match the scenario")
-    if sample.omega.shape[-1] < T:
+    if sample.omega.shape[-1] < scenario.T:
         raise ValueError("sample horizon is shorter than the scenario's T")
-    rho = sample.rho0
-    shape = np.broadcast_shapes(u.shape, rho.shape)
+    u = profile.as_array()
+    out = propagate_cells(scenario.h, scenario.T, u, sample.rho0, sample.omega)
+    check_bounded(scenario, out, u.max())
+    return out
+
+
+def propagate_cells(h: float, T: int, u, rho: np.ndarray, omega: np.ndarray,
+                    upstream: np.ndarray | None = None) -> np.ndarray:
+    """The recursion over steps 1..T for a run of consecutive cells, the
+    last axis of their densities ``rho`` (..., c) at step 0.
+
+    u holds the cells' speeds, (c,) or stacked so as to broadcast against
+    rho, and omega (..., c, >= T) their net inflows. upstream (..., T), when
+    given, is the outflow of the cell before the run at steps 0..T-1;
+    without it the first cell has no upstream neighbour. Returns the
+    densities (..., c, T) over the broadcast shape. Every element is
+    computed by the same expression, so a cell's trajectory has the same
+    bits whatever it is stacked with."""
+    shape = np.broadcast(u, rho, 0.0 if upstream is None else upstream[..., :1]).shape
     out = np.empty(shape + (T,))
     inflow = np.zeros(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             flow = u * rho
-            inflow[..., 1:] = flow[..., :-1]
-            rho = rho + h * (inflow - flow + sample.omega[..., t])
+            if shape[-1] > 1:
+                inflow[..., 1:] = flow[..., :-1]
+            if upstream is not None:
+                inflow[..., 0] = upstream[..., t]
+            rho = rho + h * (inflow - flow + omega[..., t])
             out[..., t] = rho
-    check_bounded(scenario, out, np.max(u))
     return out
 
 
@@ -250,8 +256,9 @@ def check_bounded(scenario: HighwayScenario, traj: np.ndarray,
         peak = max(traj.max(), -traj.min())
         bounded = peak * u_max * scenario.n * scenario.T < math.inf
     if not bounded:
-        raise ValueError("propagated densities overflow the float range; "
-                         "the disturbance is too large for this scenario")
+        raise DisturbanceOverflowError(
+            "propagated densities overflow the float range; "
+            "the disturbance is too large for this scenario")
 
 
 @dataclass(frozen=True)

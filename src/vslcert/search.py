@@ -1,17 +1,17 @@
 """Certified search over admissible speed profiles.
 
-:func:`run_search` solves every menu with :func:`branch_and_bound`: a
-prefix-shared branch-and-bound (Land & Doig 1960) whose pruning is an
-implicit enumeration of the whole menu, so its answer is the flat
-enumeration's, bit for bit (termination ``enumerated``, gap 0).
-``brute-force`` keeps the flat enumeration of ``validation``, so the two
-commands check each other.
-
 Cell e's trajectories, cap and flow weight depend only on the prefix
-``u_1..u_e``, so each level of the tree propagates one cell from its
-parent's outflow. A capacity-flow bound on every completion of a prefix
-(see :class:`PrefixTree`) and the radius prune the tree; the surviving
-leaves are scored by the certificate's kernel.
+``u_1..u_e``, and so do its terms of the certificate's per-cell sums.
+So one depth-first walk of a prefix tree (:class:`PrefixTree`, one cell
+per level, each child propagated from its parent's outflow) scores every
+profile with the value ``certificate`` gives it, bit for bit, from its
+running sums. :func:`branch_and_bound` is that walk. Without prune tests
+it scores every leaf: ``validation.exact_optimum``, which ``brute-force``
+runs. With them it is a prefix-shared branch-and-bound (Land & Doig
+1960): a capacity-flow bound on every completion of a prefix and the
+radius prune the tree, an implicit enumeration of the whole menu, so
+:func:`run_search` (``solve``) returns the exact optimum too
+(termination ``enumerated``, gap 0).
 
 A time limit binds only on menus of more than ``DEFAULT_ENUM_CAP``
 profiles, so the answer on a menu under the cap is the same on every
@@ -32,21 +32,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .certificate import STATUS_FINITE, CertificateResult, _dual_totals
+from .certificate import (
+    CertificateResult,
+    add_cells,
+    certificate,
+    dual_totals,
+    scan_result,
+)
 from .linearize import SearchProblem
-from .network import HighwayScenario, critical_density
-from .sampling import SampleSet, check_bounded, propagate_speeds
-from .validation import DEFAULT_ENUM_CAP, ENUM_CHUNK_ELEMENTS, profile_count
+from .network import HighwayScenario, SpeedProfile, critical_density
+from .sampling import SampleSet, check_bounded, propagate_batch, propagate_cells
 
-# perfbench/tracer.py TARGETS looks these nine names up on this module with
-# getattr and no default, so they stay until the benchmark reads spans from
-# inside the product (ROADMAP item 3). The search calls none of them; the
-# last four name functions removed with the MILP search.
-from .certificate import certificate
+# perfbench/tracer.py TARGETS looks up these names, certificate,
+# propagate_batch and four names of functions removed with the MILP search
+# on this module with getattr and no default, so they stay until the
+# benchmark reads spans from inside the product (ROADMAP item 3).
 from .linearize import build_lower
 from .lpsolve import solve_milp
 from .lpsolve import solve_milp as solve_lp
-from .sampling import propagate_batch
 
 
 def _removed(*args, **kwargs):
@@ -58,6 +61,16 @@ build_upper = decode_profile = assignment_of = eta_saturation = _removed
 TERM_ENUMERATED = "enumerated"
 TERM_TIME = "time_limit"
 
+# Menus of more profiles are refused by exact_optimum, and a search past
+# it may be stopped by its time limit.
+DEFAULT_ENUM_CAP = 100_000
+# Trajectory elements (prefixes x speeds x draws x steps 0..T) of the
+# children of one chunk of prefixes at depth 0, and this over e + 1 at
+# depth e: chunks shrink with depth, so that the depth-first walk scores
+# leaves, and raises its incumbent, after fewer expansions. A chunk holds
+# at least one prefix.
+ENUM_CHUNK_ELEMENTS = 1 << 18
+
 # A prefix survives while its bound is within this fraction (of the
 # incumbent's magnitude, at least 1) below the incumbent, and while its
 # partial distance is within it above the radius: rounding in the
@@ -66,6 +79,11 @@ PRUNE_MARGIN = 1e-9
 # Trajectory elements (steps 0..T) up to which a subtree is expanded to its
 # leaves in one level of the branch-and-bound; at most ENUM_CHUNK_ELEMENTS.
 BLOCK_ELEMENTS = 1 << 12
+
+
+def profile_count(scenario: HighwayScenario) -> int:
+    """Number of admissible profiles: the product of the band sizes."""
+    return math.prod(len(b) for b in scenario.bands)
 
 
 @dataclass(frozen=True)
@@ -125,64 +143,36 @@ def run_search(problem: SearchProblem,
 
 
 class Prefixes(NamedTuple):
-    """F prefixes ``u_1..u_e`` of admissible profiles, in product order,
-    stored one level per block of cells so that siblings share their
-    ancestors.
+    """F prefixes ``u_1..u_e`` of admissible profiles, in product order.
 
-    For each level k, with c_k cells: ``rho[k]`` (F_k, N, c_k, T + 1) is
-    the density of its cells at steps 0..T, ``speed[k]`` and ``cap[k]``
-    (F_k, c_k) their speeds and critical densities, and ``up[k]`` (F_k,)
-    the row of each one's parent in level k - 1. The last level's rows
-    are the prefixes themselves: dist (F,) is their partial box distance,
-    partial (F, L) the sum over their cells of ``min(lam, a_k) * mass_k``
-    at each scale of ``PrefixTree.lams``, and bound (F,) the
-    capacity-flow bound on their completions. The three are None for
-    children that were not measured; the root has no bound.
+    speed (F, e) holds their speeds and traj (F, N, T) the densities of
+    their last cell at steps 1..T, from which the next cell is propagated
+    (None for the root and for whole profiles). dist (F,) is their partial
+    box distance and partial (F, L) the running sum over their cells of
+    ``min(lam, a_k) * mass_k`` at each scale of ``PrefixTree.lams``, both
+    as :func:`certificate.add_cells` carries them; bound (F,) is the
+    capacity-flow bound on their completions, None when not measured.
     """
 
-    rho: tuple
-    speed: tuple
-    cap: tuple
-    up: tuple
-    dist: np.ndarray | None
-    partial: np.ndarray | None
+    speed: np.ndarray
+    traj: np.ndarray | None
+    dist: np.ndarray
+    partial: np.ndarray
     bound: np.ndarray | None
 
     @property
     def length(self) -> int:
         """Cells in each prefix."""
-        return sum(speed.shape[1] for speed in self.speed)
+        return self.speed.shape[1]
 
     @property
     def size(self) -> int:
         """Number of prefixes."""
-        return len(self.up[-1]) if self.up else 1
+        return len(self.speed)
 
     def take(self, rows) -> "Prefixes":
-        """The prefixes at rows of the last level, sharing its ancestors."""
-        *head, last = zip(self.rho, self.speed, self.cap, self.up)
-        last = tuple(field[rows] for field in last)
-        rho, speed, cap, up = zip(*head, last)
-        return Prefixes(rho, speed, cap, up, self.dist[rows],
-                        self.partial[rows], self.bound[rows])
-
-    def profiles(self):
-        """Speeds and critical densities (F, e) of the prefixes, and their
-        trajectories (F, N, e, T) at steps 1..T (a view when the prefixes
-        are one level)."""
-        if len(self.rho) == 1:
-            return self.speed[0], self.cap[0], self.rho[0][..., 1:]
-        (F, N, _, T1), e = self.rho[-1].shape, self.length
-        speeds, caps = np.empty((F, e)), np.empty((F, e))
-        traj = np.empty((F, N, e, T1 - 1))
-        rows, hi = slice(None), e
-        for rho, speed, cap, up in reversed(tuple(zip(*self[:4]))):
-            lo = hi - speed.shape[1]
-            speeds[:, lo:hi] = speed[rows]
-            caps[:, lo:hi] = cap[rows]
-            traj[:, :, lo:hi] = rho[rows, ..., 1:]
-            rows, hi = up[rows], lo
-        return speeds, caps, traj
+        """The prefixes at rows."""
+        return Prefixes(*(None if field is None else field[rows] for field in self))
 
 
 class PrefixTree:
@@ -191,8 +181,9 @@ class PrefixTree:
 
     Cell e's trajectories, cap and flow weight depend only on the prefix
     ``u_1..u_e``, so a child propagates only its own cells, from its
-    parent's outflow, with the element-wise expression of
-    ``propagate_speeds``: every trajectory keeps its bits.
+    parent's outflow, with ``sampling.propagate_cells``, and adds their
+    terms to its parent's running sums: every trajectory and every sum
+    keeps the bits that ``propagate`` and ``certificate`` give it.
 
     The bound of a prefix ending at cell e is
 
@@ -214,14 +205,10 @@ class PrefixTree:
         self.band_caps = tuple(tuple(critical_density(seg, u) for u in band)
                                for seg, band in zip(scenario.segments, scenario.bands))
         self.u_max = max(band[-1] for band in scenario.bands)
+        self.lams = np.array(sorted({0.0, *(u / scenario.T for band in scenario.bands
+                                            for u in band)}))
 
-    # The bound's tables are built on first use: a tree expanded to its
-    # leaves in one level never measures its children.
-    @cached_property
-    def lams(self) -> np.ndarray:
-        speeds = [u for band in self.scenario.bands for u in band]
-        return np.unique(np.array([0.0, *speeds]) / self.scenario.T)
-
+    # Built on first use: a walk with no prune test never bounds a prefix.
     @cached_property
     def tail(self) -> np.ndarray:
         """(n + 1, L): the capacity-flow bound of cells e..n-1 in row e,
@@ -236,8 +223,8 @@ class PrefixTree:
 
     def root(self) -> Prefixes:
         """The empty prefix."""
-        return Prefixes(rho=(), speed=(), cap=(), up=(), dist=np.zeros(1),
-                        partial=np.zeros((1, 1)), bound=None)
+        return Prefixes(speed=np.empty((1, 0)), traj=None, dist=np.zeros(1),
+                        partial=np.zeros((1, len(self.lams))), bound=None)
 
     def children(self, parents: Prefixes, floor: float | None = -math.inf,
                  reach: float = math.inf, cells: int = 1) -> tuple[Prefixes, int]:
@@ -245,94 +232,82 @@ class PrefixTree:
         their bands' speeds for every parent; return the children whose
         bound is at least floor and whose partial distance is at most
         reach, in product order, and the number of children propagated.
-        With floor None every child is kept unmeasured. Raises ValueError
-        as ``propagate_speeds`` does when the trajectories overflow."""
-        sc = self.scenario
-        e, T, h, N = parents.length, sc.T, sc.h, self.samples.count
+        With floor None every child is kept, unbounded. Raises ValueError
+        as ``propagate`` does when the trajectories overflow."""
+        sc, samples = self.scenario, self.samples
+        e, T, N = parents.length, sc.T, samples.count
         F, block = parents.size, slice(e, e + cells)
         # (R, cells): the combinations of the cells' speeds, in product
         # order, and their critical densities.
         speed = np.array(list(itertools.product(*sc.bands[block])))
         cap = np.array(list(itertools.product(*self.band_caps[block])))
         R = len(speed)
-        # (F, R, N, cells, T + 1): parents, combinations, draws, cells, steps.
-        rho = self.samples.rho0[:, block]
-        out = np.empty((F, R, N, cells, T + 1))
-        out[..., 0] = rho
-        u = speed[:, None]
-        inflow = np.zeros((F, R, N, cells))
-        omega = self.samples.omega[:, block]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if e:
-                # The upstream cell's outflow at steps 0..T-1, as
-                # propagate_speeds computes it.
-                upstream = (parents.speed[-1][:, None, None, -1:]
-                            * parents.rho[-1][:, None, :, -1, :T])
-            for t in range(T):
-                flow = u * rho
-                inflow[..., 1:] = flow[..., :-1]
-                if e:
-                    inflow[..., 0] = upstream[..., t]
-                rho = rho + h * (inflow - flow + omega[..., t])
-                out[..., t + 1] = rho
-            check_bounded(sc, out, self.u_max)
-        if floor is None:
-            rows, dist, partial, bound = slice(None), None, None, None
-            up, combo = np.divmod(np.arange(F * R), R)
-        else:
-            traj = out[..., 1:]
-            anchor = np.maximum(traj, 0.0)
-            np.minimum(anchor, cap[:, None, :, None], out=anchor)
-            mass = anchor.sum(axis=(2, 4)) / N
-            anchor -= traj
-            dist = (parents.dist[:, None]
-                    + np.abs(anchor, out=anchor).sum(axis=(2, 3, 4)) / N)
-            terms = np.minimum(self.lams, speed[..., None] / T) * mass[..., None]
-            partial = parents.partial[:, None] + terms.sum(axis=2)
-            bound = (partial + self.tail[e + cells]).max(axis=2)
-            rows = np.flatnonzero((bound >= floor) & (dist <= reach))
-            up, combo = np.divmod(rows, R)
-            dist, bound = dist.ravel()[rows], bound.ravel()[rows]
-            partial = partial.reshape(F * R, -1)[rows]
+        upstream = None
+        if e:
+            # (F, 1, N, T): the parents' outflow at steps 0..T-1, as the
+            # recursion computes it.
+            last = np.empty((F, N, T))
+            last[..., 0] = samples.rho0[:, e - 1]
+            last[..., 1:] = parents.traj[..., :-1]
+            upstream = (parents.speed[:, -1, None, None] * last)[:, None]
+        # (F, R, N, cells, T): parents, combinations, draws, cells, steps.
+        traj = propagate_cells(sc.h, T, speed[:, None], samples.rho0[:, block],
+                               samples.omega[:, block], upstream).reshape(F, R, N, cells, T)
+        check_bounded(sc, traj, self.u_max)
+        partial, dist = add_cells(parents.partial[:, None], parents.dist[:, None],
+                                  self.lams, speed / T, cap[:, None], traj)
+        rows, bound = slice(None), None
+        if floor is not None:
+            bound = (partial + self.tail[e + cells]).max(axis=2).ravel()
+            rows = np.flatnonzero((bound >= floor) & (dist.ravel() <= reach))
+            bound = bound[rows]
+        up, combo = np.divmod(np.arange(F * R)[rows], R)
+        whole = e + cells == sc.n
         return Prefixes(
-            rho=parents.rho + (out.reshape(F * R, N, cells, T + 1)[rows],),
-            speed=parents.speed + (speed[combo],), cap=parents.cap + (cap[combo],),
-            up=parents.up + (up,), dist=dist, partial=partial, bound=bound,
+            speed=np.concatenate((parents.speed[up], speed[combo]), axis=1),
+            traj=None if whole else traj[..., -1, :].reshape(F * R, N, T)[rows],
+            dist=dist.ravel()[rows], partial=partial.reshape(F * R, -1)[rows],
+            bound=bound,
         ), F * R
 
-
-def _leaf_totals(scenario: HighwayScenario, speeds: np.ndarray, caps: np.ndarray,
-                 traj: np.ndarray):
-    """Scales [0, a_1..a_n] and the dual objective at them of P whole
-    profiles, each row as menu_values computes it."""
-    a = speeds / scenario.T
-    lams = np.concatenate((np.zeros((len(a), 1)), a), axis=1)
-    totals, _ = _dual_totals(a, caps, traj, lams, scenario.epsilon)
-    return lams, totals
+    def values(self, leaves: Prefixes) -> tuple[np.ndarray, np.ndarray]:
+        """The dual objective (F, L) of whole profiles at every scale of
+        lams, and their certified values (F,): its maximum over each
+        profile's own breakpoints, zero and its flow weights, as
+        ``certificate`` scans them; -inf where the ambiguity set is empty."""
+        totals = dual_totals(leaves.partial, leaves.dist, self.lams,
+                             self.scenario.epsilon)
+        own = self.lams.searchsorted(leaves.speed / self.scenario.T)
+        rows = np.arange(len(own))[:, None]
+        return totals, np.maximum(totals[:, 0], totals[rows, own].max(axis=1))
 
 
 def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
-                     deadline: float | None = None):
-    """Find the best certified profile by prefix-shared branch-and-bound;
-    return (best, result, nodes expanded, nodes pruned, finished).
+                     deadline: float | None = None, prune: bool = True):
+    """Find the best certified profile by a depth-first walk of the
+    prefix tree; return (best, result, nodes expanded, nodes pruned,
+    finished).
 
-    The answer is that of ``validation.exact_optimum``, bit for bit: each
-    leaf is scored by the certificate's kernel on its own trajectories,
-    with the value ``certificate`` gives it, and the first best in product
-    order wins. best and result are None when every profile has an empty
-    ambiguity set.
+    Each leaf is scored by :meth:`PrefixTree.values` from its running
+    sums, with the value ``certificate`` gives it, and the first best in
+    product order wins; result is its certificate, scanned from the same
+    sums. best and result are None when every profile has an empty
+    ambiguity set. With prune False every leaf is scored: that
+    walk is ``validation.exact_optimum``. With prune True (the
+    branch-and-bound) the answer is the same, bit for bit.
 
-    The tree is walked depth first, one cell per level, in chunks of at
-    most ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A chunk
-    whose whole subtree holds at most ``BLOCK_ELEMENTS`` trajectory
-    elements is expanded to its leaves in one level instead: at that size
-    numpy's per-call cost outweighs what pruning saves. Unless the root is such
-    a chunk, the incumbent starts at the profile of each band's top
-    speed, the last in product order. A prefix is pruned when its partial
-    distance exceeds the radius (no completion has a nonempty ambiguity
-    set) or when its :class:`PrefixTree` bound is more than
-    ``PRUNE_MARGIN`` below the incumbent. Nodes count the prefixes
-    propagated and, of those, pruned.
+    The tree is walked one cell per level, in chunks of at most
+    ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A chunk whose
+    whole subtree holds at most ``BLOCK_ELEMENTS`` trajectory elements is
+    expanded to its leaves in one level instead: at that size numpy's
+    per-call cost outweighs what sharing prefixes and pruning save.
+
+    With prune True, unless the root is such a chunk, the incumbent
+    starts at the profile of each band's top speed, the last in product
+    order. A prefix is pruned when its partial distance exceeds the radius
+    (no completion has a nonempty ambiguity set) or when its
+    :class:`PrefixTree` bound is more than ``PRUNE_MARGIN`` below the
+    incumbent. Nodes count the prefixes propagated and, of those, pruned.
 
     Before each chunk the walk reads ``time.monotonic()`` against
     deadline, unless it is None; once the deadline has passed it stops,
@@ -347,21 +322,19 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
     # each length.
     subtree = [math.prod(map(len, scenario.bands[e:])) * N * (n - e) * (T + 1)
                for e in range(n)]
-    # The best profile so far: its value, its scales, totals and speeds,
-    # and whether a leaf of equal value replaces it (every leaf precedes
-    # the seed in product order).
-    value, best, replaceable = -math.inf, None, True
-    if subtree[0] > BLOCK_ELEMENTS:
-        speeds = np.array([[band[-1] for band in scenario.bands]])
-        caps = np.array([[c[-1] for c in tree.band_caps]])
-        rho = propagate_speeds(scenario, speeds[0], samples)[None]
-        lams, totals = _leaf_totals(scenario, speeds, caps, rho)
-        value, best = totals[0].max(), (lams[0], totals[0], speeds[0])
+    # The best profile so far, its value and its certificate, and whether a
+    # leaf of equal value replaces it (every leaf precedes the seed in
+    # product order).
+    value, best, result, replaceable = -math.inf, None, None, True
+    if prune and subtree[0] > BLOCK_ELEMENTS:
+        best = scenario.speed_profile([band[-1] for band in scenario.bands])
+        result = certificate(scenario, best, propagate_batch(scenario, best, samples))
+        value = result.value
     expanded = pruned = 0
     stopped = False
 
     def descend(parents: Prefixes) -> None:
-        nonlocal value, best, replaceable, expanded, pruned, stopped
+        nonlocal value, best, result, replaceable, expanded, pruned, stopped
         e = parents.length
         step = max(1, ENUM_CHUNK_ELEMENTS
                    // (len(scenario.bands[e]) * N * (e + 1) * (T + 1)))
@@ -373,36 +346,34 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
             chunk = parents if step >= parents.size else parents.take(
                 slice(i, i + step))
             cells = n - e if chunk.size * subtree[e] <= BLOCK_ELEMENTS else 1
-            if value > -math.inf:
-                floor = value - PRUNE_MARGIN * max(1.0, abs(value))
-            else:
+            leaves = e + cells == n
+            if not prune or (value == -math.inf and leaves):
                 # Without an incumbent only the radius prunes, and at the
-                # leaves the kernel gives a pruned leaf -inf anyway.
-                floor = None if e + cells == n else -math.inf
+                # leaves a pruned leaf is worth -inf anyway.
+                floor = None
+            elif value == -math.inf:
+                floor = -math.inf
+            else:
+                floor = value - PRUNE_MARGIN * max(1.0, abs(value))
             kids, propagated = tree.children(chunk, floor, reach, cells)
             expanded += propagated
             pruned += propagated - kids.size
             if not kids.size:
                 continue
-            if e + cells < n:
+            if not leaves:
                 descend(kids)
                 continue
-            speeds, caps, traj = kids.profiles()
-            lams, totals = _leaf_totals(scenario, speeds, caps, traj)
-            values = totals.max(axis=1)
-            k = int(np.argmax(values))
-            if values[k] > value or (values[k] == value and replaceable):
-                value, best, replaceable = values[k], (lams[k], totals[k], speeds[k]), False
+            totals, values = tree.values(kids)
+            k = int(values.argmax())
+            if values[k] > value or (values[k] == value > -math.inf and replaceable):
+                # The certificate's scan: the winner's own scales, sorted.
+                own = sorted({0, *tree.lams.searchsorted(kids.speed[k] / T).tolist()})
+                value, best, replaceable = values[k], kids.speed[k], False
+                result = scan_result(tree.lams[own], totals[k, own])
 
     descend(tree.root())
     if value == -math.inf:
         return None, None, expanded, pruned, not stopped
-    lams, totals, speeds = best
-    # The scan table of certificate(): sorted unique scales (a repeated
-    # scale has the same total), ties to the smallest.
-    table = sorted(dict(zip(lams.tolist(), totals.tolist())).items())
-    lambda_star, value = max(table, key=lambda row: row[1])
-    result = CertificateResult(value=value, lambda_star=lambda_star,
-                               status=STATUS_FINITE, table=tuple(table))
-    return scenario.speed_profile(speeds), result, expanded, pruned, not stopped
-
+    if not isinstance(best, SpeedProfile):
+        best = scenario.speed_profile(best.tolist())
+    return best, result, expanded, pruned, not stopped

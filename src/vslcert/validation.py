@@ -1,12 +1,12 @@
 """Independent verification tools.
 
 Three tools live here: the exact evaluator, which scores every
-admissible profile stacked, one propagation and one closed-form
-certificate evaluation per chunk (``brute-force``'s flat enumeration up
-to ``DEFAULT_ENUM_CAP`` profiles, and the ground truth that ``solve``'s
-branch-and-bound must match), a physical demand/supply traffic
-simulator used for congestion comparisons, and a fresh-sample
-Monte-Carlo check of the certificate's out-of-sample guarantee.
+admissible profile by the walk of the search's prefix tree with no
+prune test (``brute-force``, up to ``DEFAULT_ENUM_CAP`` profiles, and
+the ground truth that ``solve``'s branch-and-bound must match), a
+physical demand/supply traffic simulator used for congestion
+comparisons, and a fresh-sample Monte-Carlo check of the certificate's
+out-of-sample guarantee.
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities
@@ -16,13 +16,12 @@ regime, which is tested, not assumed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import average_flow, certificate, menu_values
+from .certificate import average_flow, certificate
 from .errors import InfeasibleScenarioError
 from .network import HighwayScenario, SpeedProfile, wave_ratio
 from .sampling import (
@@ -33,16 +32,11 @@ from .sampling import (
     generate_samples,
     propagate,
     propagate_batch,
-    propagate_speeds,
 )
+from .search import DEFAULT_ENUM_CAP, branch_and_bound, profile_count
 
 UNCONTROLLED = "uncontrolled"
 
-DEFAULT_ENUM_CAP = 100_000
-# Elements of the largest array built per chunk, the stacked trajectories
-# (profiles x draws x cells x steps); a chunk of profiles never holds
-# more, except that it holds at least one profile.
-ENUM_CHUNK_ELEMENTS = 1 << 18
 # Values drawn per chunk of validate's fresh draws, (cells + cells x
 # steps) per draw; the CTM states of a chunk take about as many. Chosen by
 # timing validate on the corridor (305 values per draw, 859 draws per
@@ -51,22 +45,17 @@ ENUM_CHUNK_ELEMENTS = 1 << 18
 VALIDATE_CHUNK_ELEMENTS = 1 << 18
 
 
-def profile_count(scenario: HighwayScenario) -> int:
-    """Number of admissible profiles: the product of the band sizes."""
-    return math.prod(len(b) for b in scenario.bands)
-
-
 def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
     """Evaluate every admissible profile and return (best, result).
 
     result is the winner's ``CertificateResult``; both are None when every
-    profile has an empty ambiguity set. All profiles are propagated and
-    evaluated stacked, in chunks of at most ``ENUM_CHUNK_ELEMENTS``, with
-    the values :func:`certificate` gives them one by one. The first best
-    in product order wins, so ties go to the lexicographically smallest
-    speed vector; its certificate is then evaluated once for
-    ``lambda_star`` and the scan table. Refuses, before enumerating, when
-    the profile count exceeds ``DEFAULT_ENUM_CAP``.
+    profile has an empty ambiguity set. Every leaf of the prefix tree is
+    scored, by the walk of ``search.branch_and_bound`` with no prune test,
+    with the value :func:`certificate` gives it. The first best in product
+    order wins, so ties go to the lexicographically smallest speed vector;
+    its certificate is then evaluated once more, on its own trajectories,
+    as the check on the tree's scan table. Refuses, before propagating
+    anything, when the profile count exceeds ``DEFAULT_ENUM_CAP``.
     """
     total = profile_count(scenario)
     if total > DEFAULT_ENUM_CAP:
@@ -74,17 +63,9 @@ def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
             f"{total} admissible profiles exceed the enumeration cap "
             f"{DEFAULT_ENUM_CAP}; use `solve` for instances this large"
         )
-    speeds = np.array(list(itertools.product(*scenario.bands)), dtype=float)
-    step = max(1, ENUM_CHUNK_ELEMENTS // (samples.rho0.size * scenario.T))
-    values = np.concatenate([
-        menu_values(scenario, chunk,
-                    propagate_speeds(scenario, chunk[:, None, :], samples))
-        for chunk in (speeds[i:i + step] for i in range(0, total, step))
-    ])
-    i = int(np.argmax(values))
-    if values[i] == -math.inf:
+    best, *_ = branch_and_bound(scenario, samples, prune=False)
+    if best is None:
         return None, None
-    best = scenario.speed_profile(speeds[i])
     return best, certificate(scenario, best, propagate_batch(scenario, best, samples))
 
 

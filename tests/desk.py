@@ -25,6 +25,7 @@ from vslcert.sampling import (
     propagate,
     propagate_batch,
 )
+from vslcert.search import PrefixTree
 
 
 def _random_segment(rng) -> SegmentParams:
@@ -220,3 +221,14 @@ def reference_optimum(scenario, samples):
             "the radius is too small for these samples"
         )
     return best_u, best_value
+
+
+def leaf_values(scenario, samples):
+    """Every profile's certified value, in product order: the per-leaf
+    values of the prefix tree expanded one cell per level, with no prune
+    test, as the search's walk scores its leaves."""
+    tree = PrefixTree(scenario, samples)
+    prefixes = tree.root()
+    for _ in range(scenario.n):
+        prefixes, _ = tree.children(prefixes, floor=None)
+    return tree.values(prefixes)[1]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from vslcert.certificate import _dual_totals, flow_weights
+from vslcert.certificate import add_cells, flow_weights
 from vslcert.network import critical_density, wave_ratio
 
 
@@ -13,11 +13,12 @@ def component_min(a: float, cap: float, r: float, lam: float) -> float:
 
 
 def box_distance(scenario, profile, batch) -> float:
-    """Mean 1-norm distance from the sample trajectories to their box."""
-    a = flow_weights(scenario, profile)[None]
-    _, dist = _dual_totals(a, scenario.critical_densities(profile)[None],
-                           np.asarray(batch.rho)[None], a, scenario.epsilon)
-    return float(dist[0])
+    """Mean 1-norm distance from the sample trajectories to their box, with
+    the certificate's bits: per-cell distances added in cell order."""
+    a = flow_weights(scenario, profile)
+    _, dist = add_cells(np.zeros(1), np.zeros(()), np.zeros(1), a,
+                        scenario.critical_densities(profile), np.asarray(batch.rho))
+    return float(dist)
 
 
 def allowable_flow(seg, rho: float, u: float) -> float:

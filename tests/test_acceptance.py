@@ -153,9 +153,11 @@ def test_bound_monotonicity():
         assert root >= j_star - 1e-9 * max(1.0, abs(j_star)), (root, j_star)
         worst = max(worst, j_star / root)
         parents, above = tree.root(), np.array([root])
-        for _ in range(scenario.n):
+        for band in scenario.bands:
+            # Every child is kept, in product order: the parent of row i
+            # is row i // len(band).
             parents, _ = tree.children(parents)
-            above = above[parents.up[-1]]
+            above = np.repeat(above, len(band))
             assert (parents.bound
                     <= above + 1e-12 * np.maximum(1.0, np.abs(above))).all()
             above = parents.bound

@@ -1,4 +1,4 @@
-"""The branch-and-bound solver against the flat enumeration, and its bound
+"""The branch-and-bound solver against the exact evaluator, and its bound
 against the exact value of every completion."""
 
 import dataclasses
@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 
 import desk
 from oracles import box_distance
-from vslcert.certificate import menu_values
+from vslcert.certificate import certificate
 from vslcert.network import load_scenario, read_config
 from vslcert.sampling import (
     SampleSet,
     generate_samples,
     load_generator,
     propagate_batch,
-    propagate_speeds,
 )
 from vslcert import search
 from vslcert.search import BLOCK_ELEMENTS, PrefixTree, branch_and_bound
@@ -40,10 +39,9 @@ def corridor(seed, omega1=None):
 
 
 def all_values(scenario, samples):
-    """Every profile's certified value, in product order."""
-    speeds = np.array(list(itertools.product(*scenario.bands)))
-    return menu_values(scenario, speeds,
-                       propagate_speeds(scenario, speeds[:, None, :], samples))
+    """Every profile's certified value, in product order, from the walk's
+    per-leaf values."""
+    return desk.leaf_values(scenario, samples)
 
 
 def assert_matches_enumeration(scenario, samples, blocks=(BLOCK_ELEMENTS,)):
@@ -147,7 +145,8 @@ def test_all_sentinel_menu_gives_none():
 
 
 def test_prefix_bound_holds_on_every_completion():
-    # The oracle is the stacked evaluator of every whole profile, not the
+    # The oracle is the value of every whole profile, each equal to its own
+    # certificate's (test_leaf_values_equal_certificates), not the
     # solver's answer: no prefix's bound may fall below a completion's
     # value, and a prefix farther than the radius from its box has only
     # sentinel completions.
@@ -166,3 +165,16 @@ def test_prefix_bound_holds_on_every_completion():
             assert (completions[far] == -math.inf).all()
             beyond += int(far.sum())
     assert beyond > 0
+
+
+def test_leaf_values_equal_certificates():
+    # Every corridor profile scored as a leaf of the prefix tree has the
+    # value bits of its own certificate, and so does the sentinel.
+    for seed in range(3):
+        scenario, samples = corridor(seed)
+        values = all_values(scenario, samples)
+        for combo, value in zip(itertools.product(*scenario.bands), values):
+            profile = scenario.speed_profile(combo)
+            own = certificate(scenario, profile,
+                              propagate_batch(scenario, profile, samples))
+            assert value == own.value, combo

@@ -15,7 +15,6 @@ from vslcert.certificate import (
     average_flow,
     certificate,
     flow_weights,
-    menu_values,
 )
 from vslcert.network import HighwayScenario, SegmentParams, critical_density
 from vslcert.sampling import SampleSet, TrajectoryBatch, propagate_batch
@@ -178,47 +177,54 @@ def test_scan_table_covers_breakpoints():
 
 
 @st.composite
-def stacked_menus(draw):
-    """A desk scenario, P admissible profiles (P, n) and stacked
-    trajectories (P, N, n, T) whose components lie below 0, inside
-    [0, cap] or above cap, with a radius that is zero, exactly one
-    profile's box distance, or any value up to past the largest."""
+def regime_menus(draw):
+    """A desk scenario and N draws whose trajectories under the profile
+    of each band's slowest speed lie below 0, inside [0, cap] or above cap,
+    component by component (each step's inflow steers the recursion to a
+    drawn target), with a radius that is zero, exactly one profile's box
+    distance, or any value up to past the largest."""
     seed = draw(st.integers(0, 2**32 - 1))
     sc, _ = desk.random_scenario(np.random.default_rng(seed),
                                  T=draw(st.integers(1, 3)))
-    P, N = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    speeds = np.array([[draw(st.sampled_from(band)) for band in sc.bands]
-                       for _ in range(P)])
-    profiles = [sc.speed_profile(tuple(float(v) for v in row)) for row in speeds]
-    shape = (P, N, sc.n, sc.T)
+    N = draw(st.integers(1, 3))
+    shape = (N, sc.n, sc.T + 1)
     size = math.prod(shape)
     regime = np.array(draw(st.lists(st.sampled_from((-1, 0, 1)),
                                     min_size=size, max_size=size))).reshape(shape)
     frac = np.array(draw(st.lists(st.floats(0.0, 1.0),
                                   min_size=size, max_size=size))).reshape(shape)
-    caps = np.array([sc.critical_densities(p) for p in profiles])[:, None, :, None]
-    rho = np.where(regime < 0, -frac * caps,
-                   np.where(regime > 0, caps * (1.0 + frac), frac * caps))
-    dists = [box_distance(sc, p, TrajectoryBatch(rho=r, u=p.u))
-             for p, r in zip(profiles, rho)]
+    slowest = sc.speed_profile([band[0] for band in sc.bands])
+    caps = sc.critical_densities(slowest)[:, None]
+    target = np.where(regime < 0, -frac * caps,
+                      np.where(regime > 0, caps * (1.0 + frac), frac * caps))
+    flow = slowest.as_array()[:, None] * target[..., :-1]
+    inflow = np.zeros_like(flow)
+    inflow[:, 1:] = flow[:, :-1]
+    omega = (target[..., 1:] - target[..., :-1]) / sc.h - inflow + flow
+    samples = SampleSet(target[..., 0], omega)
+    dists = [box_distance(sc, p, propagate_batch(sc, p, samples))
+             for p in map(sc.speed_profile, itertools.product(*sc.bands))]
     epsilon = draw(st.one_of(st.just(0.0), st.sampled_from(dists),
                              st.floats(0.0, 2.0 * max(dists) + 1.0)))
-    return dataclasses.replace(sc, epsilon=epsilon), profiles, speeds, rho, dists
+    return dataclasses.replace(sc, epsilon=epsilon), samples
 
 
 @settings(deadline=None)
-@given(stacked_menus())
+@given(regime_menus())
 def test_menu_values_closed_form_matches_component_sums(menu):
-    sc, profiles, speeds, rho, dists = menu
-    values = menu_values(sc, speeds, rho)
-    for profile, r, dist, value in zip(profiles, rho, dists, values):
-        # The stacked evaluation gives each profile its own value bit for bit.
-        cert = certificate(sc, profile, TrajectoryBatch(rho=r, u=profile.u))
-        if dist > sc.epsilon:
+    sc, samples = menu
+    values = desk.leaf_values(sc, samples)
+    for combo, value in zip(itertools.product(*sc.bands), values):
+        # The walk's leaf gives each profile its own value bit for bit.
+        profile = sc.speed_profile(combo)
+        batch = propagate_batch(sc, profile, samples)
+        cert = certificate(sc, profile, batch)
+        if box_distance(sc, profile, batch) > sc.epsilon:
             assert cert.status == STATUS_EMPTY
             assert value == -math.inf
             continue
         assert value == cert.value
+        r = batch.rho
         a = profile.as_array() / sc.T
         caps = sc.critical_densities(profile)
         ref = max(

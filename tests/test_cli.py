@@ -138,7 +138,8 @@ def _src_env():
 def test_commands_start_without_scipy(tmp_path):
     # scipy is a test dependency: no command imports it, a solve past the
     # enumeration cap included; vslcert.lpsolve itself is still imported,
-    # without it.
+    # without it. Nor does any command load numpy.ma (np.unique does),
+    # which takes a noticeable share of a cold start.
     wide = tmp_path / "corridor8.json"
     wide.write_text(json.dumps(desk.corridor_config(8)))
     script = f"""
@@ -159,13 +160,15 @@ print(json.dumps({{
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "lpsolve": "vslcert.lpsolve" in sys.modules,
+    "numpy.ma": "numpy.ma" in sys.modules,
 }}))
 """
     proc = subprocess.run([sys.executable, "-c", script], env=_src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0, 0, 0], "scipy": [], "lpsolve": True}
+    assert seen == {"codes": [0, 0, 0, 0, 0], "scipy": [], "lpsolve": True,
+                    "numpy.ma": False}
     header, rows = read_table(tmp_path / "wide" / "result.csv")
     assert header["termination"] == "enumerated"
     assert [float(r["u"]) for r in rows] == [120, 120, 120, 80, 120, 120, 120, 100]
@@ -515,7 +518,7 @@ def test_fuzzed_disturbance_exits_or_gives_finite_values(section):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", ["highway5", "desk2", "sentinel2"])
 def test_solve_and_brute_force_agree(tmp_path, name, seed):
-    # solve runs the branch-and-bound, brute-force the flat enumeration.
+    # solve runs the branch-and-bound, brute-force the walk with no prune test.
     common = ["--scenario", str(DATA / f"{name}.json"), "--seed", str(seed)]
     codes = [main(["solve", *common, "--out", str(tmp_path / "solve")]),
              main(["brute-force", *common, "--out", str(tmp_path / "bf")])]
@@ -682,6 +685,24 @@ def clean_files(count, horizon, end="\n"):
              for t in range(horizon)]
     return tuple(end.join([head] + rows) + end
                  for head, rows in (("l,e,rho0", rho0), ("l,e,t,omega", omega)))
+
+
+def test_overflowing_sample_file_names_its_prefix(tmp_path, capsys):
+    # Every omega entry of a desk2 sample pair is 1e308: finite, so the
+    # files load, but the propagation overflows.
+    rho0, omega = clean_files(2, 3)
+    prefix = tmp_path / "s"
+    (tmp_path / "s_rho0.csv").write_text(rho0)
+    (tmp_path / "s_omega.csv").write_text(omega.replace(",0.5\n", ",1e308\n"))
+    out = tmp_path / "out"
+    common = ["--scenario", DESK, "--samples", str(prefix), "--out", str(out)]
+    for args in (["simulate", *common, "--speeds", "0.4,0.8"],
+                 ["certify", *common, "--speeds", "0.4,0.8"],
+                 ["solve", *common], ["brute-force", *common]):
+        assert main(args) == 2, args[0]
+        err = capsys.readouterr().err
+        assert f"error: {prefix}: " in err and "overflow" in err, err
+    assert not out.exists()
 
 
 @settings(max_examples=80, deadline=None)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import allowable_flow
@@ -143,6 +143,9 @@ def test_band_empty_when_margin_swallows_rho_U():
 @settings(max_examples=200)
 @given(segments(), st.floats(1e-3, 5.0),
        st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8, unique=True))
+# The rounded peak flow at 2.9999999999999996 is over f_U and at 3.0 under it.
+@example(SegmentParams(f_bar=5.625, rho_bar=5.0, u_bar=3.0, f_U=5.625, rho_U=5.0),
+         1.0, [1.0, 0.5, 0.9999999999999999])
 def test_band_is_contiguous_slice_of_grid(seg, margin_frac, fracs):
     """Whatever survives the caps is a contiguous run of the grid."""
     margin = margin_frac * seg.rho_U * 0.1

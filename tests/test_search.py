@@ -23,8 +23,8 @@ def build_problem(seed, **kw):
 @pytest.fixture(scope="module")
 def long_corridor():
     """The 8-cell corridor (234,375 profiles, past the enumeration cap) with
-    three draws at seed 100, and its optimum by the flat enumeration with
-    the cap lifted (about 3 s and 80 MB)."""
+    three draws at seed 100, and its optimum by the exact evaluator with
+    the cap lifted (about 0.6 s)."""
     cfg = desk.corridor_config(8)
     scenario = load_scenario(cfg)
     samples = generate_samples(load_generator(cfg, scenario.n), 3, scenario.T, 100)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import desk
-from vslcert.certificate import average_flow, certificate, menu_values
+from vslcert.certificate import average_flow, certificate
 from vslcert.cli import main
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import (
@@ -25,7 +25,6 @@ from vslcert.sampling import (
     load_generator,
     propagate,
     propagate_batch,
-    propagate_speeds,
 )
 from vslcert.validation import (
     UNCONTROLLED,
@@ -154,7 +153,8 @@ def test_brute_force_respects_enumeration_cap(tmp_path, monkeypatch, capsys):
     def enumerated(*args):
         raise AssertionError("profiles were propagated past the cap")
 
-    monkeypatch.setattr("vslcert.validation.propagate_speeds", enumerated)
+    monkeypatch.setattr("vslcert.search.propagate_cells", enumerated)
+    monkeypatch.setattr("vslcert.sampling.propagate_cells", enumerated)
     rc = main(["brute-force", "--scenario", str(path), "--out", str(tmp_path)])
     assert rc == 2
     assert ("390625 admissible profiles exceed the enumeration cap 100000; "
@@ -196,18 +196,17 @@ def test_exact_optimum_matches_reference_loop():
 
 
 def test_menu_values_match_certificate_on_corridor():
-    # Corridor profiles stacked in one call keep the value their own
-    # certificate gives them, to the last bit; with T = 20 steps and nine
-    # draws each profile's sums are long enough for numpy's pairwise
-    # summation to group their terms. Every
+    # Corridor profiles scored as leaves of the prefix tree keep the value
+    # their own certificate gives them, to the last bit; with T = 20 steps
+    # and nine draws each profile's sums are long enough for numpy's
+    # pairwise summation to group their terms. Every
     # 7th profile is checked; 7 is coprime to the band sizes 5 and 3, so
     # every speed of every cell is among them.
     cfg = read_config(HIGHWAY)
     sc = load_scenario(cfg)
     samples = generate_samples(load_generator(cfg, sc.n), 9, sc.T, 4)
     combos = list(itertools.product(*sc.bands))
-    speeds = np.array(combos, dtype=float)
-    values = menu_values(sc, speeds, propagate_speeds(sc, speeds[:, None, :], samples))
+    values = desk.leaf_values(sc, samples)
     for combo, value in zip(combos[::7], values[::7]):
         prof = sc.speed_profile(combo)
         assert value == certificate(sc, prof, propagate_batch(sc, prof, samples)).value
