@@ -30,11 +30,10 @@ import numpy as np
 
 from .certificate import certificate
 from .errors import ConfigError, DisturbanceOverflowError, InfeasibleScenarioError
-from .linearize import SearchProblem
 from .network import load_scenario, read_config
 from .sampling import generate_samples, load_generator, propagate_batch, read_samples
 from .search import run_search
-from .validation import ValidationConfig, brute_force_optimum, validate
+from .validation import brute_force_optimum, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,8 +49,12 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
+    with fh:
         for key, value in header.items():
             fh.write(f"# {key}={_fmt(value)}\n")
         fh.write(",".join(columns) + "\n")
@@ -131,8 +134,7 @@ def cmd_certify(args) -> int:
 def cmd_solve(args) -> int:
     cfg, scenario = _load_config(args)
     samples, source = _load_samples(args, cfg, scenario)
-    problem = SearchProblem(scenario=scenario, samples=samples)
-    report = run_search(problem, time_limit=args.time_limit)
+    report = run_search(scenario, samples, time_limit=args.time_limit)
     header = {
         "command": "solve",
         **source,
@@ -181,8 +183,7 @@ def cmd_validate(args) -> int:
     cfg, scenario = _load_config(args)
     generator = load_generator(cfg, scenario.n)
     profile = _profile(args, scenario)
-    vcfg = ValidationConfig(n_val=args.nval, seed=args.seed)
-    report = validate(scenario, generator, profile, args.jhat, vcfg)
+    report = validate(scenario, generator, profile, args.jhat, args.nval, args.seed)
     out = Path(args.out)
     header = {
         "command": "validate",
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError("--seed", f"expected a non-negative integer, "
+                                        f"got {args.seed}")
         return args.func(args)
     except InfeasibleScenarioError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -5,7 +5,6 @@ linear program over the scale ``lam``, the multipliers ``eta`` and the
 prices ``nu``; its value matches the closed-form certificate.
 :func:`box_support_lp` gives the no-congestion box's support function
 through its multiplier LP, against the closed form :func:`box_support`.
-:class:`SearchProblem` is the input of ``search.run_search``.
 
 Indexing convention: trajectory-indexed quantities (densities, dual
 multipliers) live on steps t = 1..T and are stored 0-based.
@@ -24,26 +23,12 @@ from .network import HighwayScenario, SpeedProfile, eta_coefficient
 from .sampling import SampleSet, TrajectoryBatch, propagate_batch
 
 
-@dataclass(frozen=True)
-class SearchProblem:
-    """Scenario and training samples for one search; the ambiguity radius
-    is the scenario's ``epsilon``."""
-
-    scenario: HighwayScenario
-    samples: SampleSet
-
-    def __post_init__(self):
-        if self.samples.n != self.scenario.n:
-            raise ValueError("sample edge count does not match scenario")
-        if self.samples.horizon < self.scenario.T:
-            raise ValueError("sample horizon is shorter than the scenario's T")
-
-
 @dataclass
 class LowerModel:
     """Built lower-bound LP for one fixed speed profile."""
 
-    problem: SearchProblem
+    scenario: HighwayScenario
+    samples: SampleSet
     profile: SpeedProfile
     batch: TrajectoryBatch
     model: LpModel
@@ -52,7 +37,8 @@ class LowerModel:
     nu_index: np.ndarray  # (N, n, T)
 
 
-def build_lower(problem: SearchProblem, profile: SpeedProfile,
+def build_lower(scenario: HighwayScenario, samples: SampleSet,
+                profile: SpeedProfile,
                 batch: TrajectoryBatch | None = None) -> LowerModel:
     """Assemble the fixed-profile certificate LP.
 
@@ -62,21 +48,19 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
     sample cloud the LP must be unbounded, mirroring the certificate's
     empty-ambiguity sentinel.
     """
-    sc = problem.scenario
     if batch is None:
-        batch = propagate_batch(sc, profile, problem.samples)
+        batch = propagate_batch(scenario, profile, samples)
     elif batch.u != profile.u:
         raise ValueError("trajectory batch was propagated under another profile")
-    n, T = sc.n, sc.T
-    N = problem.samples.count
+    n, T, N = scenario.n, scenario.T, samples.count
     mb = ModelBuilder()
 
-    lam = mb.add_var(0.0, math.inf, obj=-sc.epsilon)
+    lam = mb.add_var(0.0, math.inf, obj=-scenario.epsilon)
     eta = np.empty((N, n, T), dtype=int)
     nu = np.empty((N, n, T), dtype=int)
     for l in range(N):
         for e in range(n):
-            seg = sc.segments[e]
+            seg = scenario.segments[e]
             slope = -seg.f_bar * seg.rho_bar / N
             for t in range(T):
                 eta[l, e, t] = mb.add_var(0.0, math.inf, obj=slope)
@@ -86,7 +70,7 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
     for l in range(N):
         for e in range(n):
             u = profile.u[e]
-            k = eta_coefficient(sc.segments[e], u)
+            k = eta_coefficient(scenario.segments[e], u)
             for t in range(T):
                 mb.add_row([eta[l, e, t], nu[l, e, t]], [k, -1.0],
                            ">=", -u / T, block="dual_feas")
@@ -96,8 +80,9 @@ def build_lower(problem: SearchProblem, profile: SpeedProfile,
                            block="norm_cap")
 
     model = mb.build()
-    return LowerModel(problem=problem, profile=profile, batch=batch,
-                      model=model, lam_index=lam, eta_index=eta, nu_index=nu)
+    return LowerModel(scenario=scenario, samples=samples, profile=profile,
+                      batch=batch, model=model, lam_index=lam, eta_index=eta,
+                      nu_index=nu)
 
 
 def box_support(scenario: HighwayScenario, profile: SpeedProfile,

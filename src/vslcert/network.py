@@ -207,7 +207,7 @@ def read_config(path: str | Path):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(str(path), f"cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
 
 

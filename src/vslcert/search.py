@@ -5,13 +5,12 @@ Cell e's trajectories, cap and flow weight depend only on the prefix
 So one depth-first walk of a prefix tree (:class:`PrefixTree`, one cell
 per level, each child propagated from its parent's outflow) scores every
 profile with the value ``certificate`` gives it, bit for bit, from its
-running sums. :func:`branch_and_bound` is that walk. Without prune tests
-it scores every leaf: ``validation.exact_optimum``, which ``brute-force``
-runs. With them it is a prefix-shared branch-and-bound (Land & Doig
-1960): a capacity-flow bound on every completion of a prefix and the
-radius prune the tree, an implicit enumeration of the whole menu, so
-:func:`run_search` (``solve``) returns the exact optimum too
-(termination ``enumerated``, gap 0).
+running sums. :func:`run_search` is that walk. Without prune tests it
+scores every leaf: ``validation.exact_optimum``, which ``brute-force``
+runs. With them (``solve``) it is a prefix-shared branch-and-bound (Land
+& Doig 1960): a capacity-flow bound on every completion of a prefix and
+the radius prune the tree, an implicit enumeration of the whole menu, so
+it returns the exact optimum too (termination ``enumerated``, gap 0).
 
 A time limit binds only on menus of more than ``DEFAULT_ENUM_CAP``
 profiles, so the answer on a menu under the cap is the same on every
@@ -39,8 +38,7 @@ from .certificate import (
     dual_totals,
     scan_result,
 )
-from .linearize import SearchProblem
-from .network import HighwayScenario, SpeedProfile, critical_density
+from .network import HighwayScenario, critical_density
 from .sampling import SampleSet, check_bounded, propagate_batch, propagate_cells
 
 # perfbench/tracer.py TARGETS looks up these names, certificate,
@@ -105,41 +103,6 @@ class SolveReport:
     @property
     def feasible(self) -> bool:
         return self.best_u is not None and math.isfinite(self.best_value)
-
-
-def run_search(problem: SearchProblem,
-               time_limit: float | None = None) -> SolveReport:
-    """Return the certified best profile, found by :func:`branch_and_bound`.
-
-    time_limit is a wall-clock budget in seconds, finite and positive, or
-    None for none. It is checked on every menu but binds only past
-    ``DEFAULT_ENUM_CAP`` profiles. A search it stops returns the best
-    profile found so far, or none, with termination ``time_limit`` and the
-    root's capacity-flow bound as upper bound; a search that finishes is
-    exact, with termination ``enumerated`` and gap 0."""
-    if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
-        raise ValueError(
-            f"time_limit must be finite and positive, got {time_limit!r}")
-    scenario, samples = problem.scenario, problem.samples
-    start = time.monotonic()
-    deadline = None
-    if time_limit is not None and profile_count(scenario) > DEFAULT_ENUM_CAP:
-        deadline = start + time_limit
-    best, cert, expanded, pruned, finished = branch_and_bound(scenario, samples,
-                                                              deadline)
-    value = cert.value if cert is not None else -math.inf
-    if finished:
-        upper, gap, termination = value, 0.0, TERM_ENUMERATED
-    else:
-        upper = float(PrefixTree(scenario, samples).tail[0].max())
-        gap = (upper - value) / max(1.0, abs(upper))
-        termination = TERM_TIME
-    return SolveReport(
-        best_u=best.u if best is not None else None, best_value=value,
-        upper_bound=upper, gap=gap, termination=termination,
-        wall=time.monotonic() - start, certificate=cert,
-        nodes_expanded=expanded, nodes_pruned=pruned,
-    )
 
 
 class Prefixes(NamedTuple):
@@ -282,19 +245,19 @@ class PrefixTree:
         return totals, np.maximum(totals[:, 0], totals[rows, own].max(axis=1))
 
 
-def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
-                     deadline: float | None = None, prune: bool = True):
+def run_search(scenario: HighwayScenario, samples: SampleSet,
+               time_limit: float | None = None, prune: bool = True) -> SolveReport:
     """Find the best certified profile by a depth-first walk of the
-    prefix tree; return (best, result, nodes expanded, nodes pruned,
-    finished).
+    prefix tree.
 
     Each leaf is scored by :meth:`PrefixTree.values` from its running
     sums, with the value ``certificate`` gives it, and the first best in
-    product order wins; result is its certificate, scanned from the same
-    sums. best and result are None when every profile has an empty
-    ambiguity set. With prune False every leaf is scored: that
-    walk is ``validation.exact_optimum``. With prune True (the
-    branch-and-bound) the answer is the same, bit for bit.
+    product order wins; the report's certificate is scanned from the same
+    sums. With prune False every leaf is scored: that walk is
+    ``validation.exact_optimum``. With prune True (the branch-and-bound)
+    the answer is the same, bit for bit. A finished search with no
+    profile (``best_u`` None) means every profile has an empty ambiguity
+    set.
 
     The tree is walked one cell per level, in chunks of at most
     ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A chunk whose
@@ -309,11 +272,28 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
     :class:`PrefixTree` bound is more than ``PRUNE_MARGIN`` below the
     incumbent. Nodes count the prefixes propagated and, of those, pruned.
 
-    Before each chunk the walk reads ``time.monotonic()`` against
-    deadline, unless it is None; once the deadline has passed it stops,
-    with finished False and the best profile found so far as best and
-    result (None when there is none yet).
+    time_limit is a wall-clock budget in seconds, finite and positive, or
+    None for none. It is checked on every menu but binds only past
+    ``DEFAULT_ENUM_CAP`` profiles: before each chunk the walk reads
+    ``time.monotonic()`` against its deadline, and once that has passed
+    it stops with the best profile found so far, or none, with
+    termination ``time_limit`` and the root's capacity-flow bound as
+    upper bound. A search that finishes is exact, with termination
+    ``enumerated`` and gap 0. Raises ValueError, before the menu is
+    sized, when the samples' edge count is not the scenario's or their
+    horizon is shorter than its T.
     """
+    if samples.n != scenario.n:
+        raise ValueError("sample edge count does not match scenario")
+    if samples.horizon < scenario.T:
+        raise ValueError("sample horizon is shorter than the scenario's T")
+    if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
+        raise ValueError(
+            f"time_limit must be finite and positive, got {time_limit!r}")
+    start = time.monotonic()
+    deadline = None
+    if time_limit is not None and profile_count(scenario) > DEFAULT_ENUM_CAP:
+        deadline = start + time_limit
     tree = PrefixTree(scenario, samples)
     n, N, T = scenario.n, samples.count, scenario.T
     eps = scenario.epsilon
@@ -327,9 +307,9 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
     # product order).
     value, best, result, replaceable = -math.inf, None, None, True
     if prune and subtree[0] > BLOCK_ELEMENTS:
-        best = scenario.speed_profile([band[-1] for band in scenario.bands])
-        result = certificate(scenario, best, propagate_batch(scenario, best, samples))
-        value = result.value
+        seed = scenario.speed_profile([band[-1] for band in scenario.bands])
+        result = certificate(scenario, seed, propagate_batch(scenario, seed, samples))
+        value, best = result.value, seed.u
     expanded = pruned = 0
     stopped = False
 
@@ -343,8 +323,7 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
                                   and time.monotonic() >= deadline)
             if stopped:
                 return
-            chunk = parents if step >= parents.size else parents.take(
-                slice(i, i + step))
+            chunk = parents.take(slice(i, i + step))
             cells = n - e if chunk.size * subtree[e] <= BLOCK_ELEMENTS else 1
             leaves = e + cells == n
             if not prune or (value == -math.inf and leaves):
@@ -373,7 +352,17 @@ def branch_and_bound(scenario: HighwayScenario, samples: SampleSet,
 
     descend(tree.root())
     if value == -math.inf:
-        return None, None, expanded, pruned, not stopped
-    if not isinstance(best, SpeedProfile):
-        best = scenario.speed_profile(best.tolist())
-    return best, result, expanded, pruned, not stopped
+        best = result = None
+    value = result.value if result is not None else -math.inf
+    if stopped:
+        upper = float(tree.tail[0].max())
+        gap = (upper - value) / max(1.0, abs(upper))
+        termination = TERM_TIME
+    else:
+        upper, gap, termination = value, 0.0, TERM_ENUMERATED
+    return SolveReport(
+        best_u=None if best is None else tuple(map(float, best)), best_value=value,
+        upper_bound=upper, gap=gap, termination=termination,
+        wall=time.monotonic() - start, certificate=result,
+        nodes_expanded=expanded, nodes_pruned=pruned,
+    )

@@ -33,7 +33,7 @@ from .sampling import (
     propagate,
     propagate_batch,
 )
-from .search import DEFAULT_ENUM_CAP, branch_and_bound, profile_count
+from .search import DEFAULT_ENUM_CAP, profile_count, run_search
 
 UNCONTROLLED = "uncontrolled"
 
@@ -50,8 +50,8 @@ def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
 
     result is the winner's ``CertificateResult``; both are None when every
     profile has an empty ambiguity set. Every leaf of the prefix tree is
-    scored, by the walk of ``search.branch_and_bound`` with no prune test,
-    with the value :func:`certificate` gives it. The first best in product
+    scored, by the walk of ``search.run_search`` with no prune test, with
+    the value :func:`certificate` gives it. The first best in product
     order wins, so ties go to the lexicographically smallest speed vector;
     its certificate is then evaluated once more, on its own trajectories,
     as the check on the tree's scan table. Refuses, before propagating
@@ -63,9 +63,10 @@ def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
             f"{total} admissible profiles exceed the enumeration cap "
             f"{DEFAULT_ENUM_CAP}; use `solve` for instances this large"
         )
-    best, *_ = branch_and_bound(scenario, samples, prune=False)
-    if best is None:
+    report = run_search(scenario, samples, prune=False)
+    if report.best_u is None:
         return None, None
+    best = scenario.speed_profile(report.best_u)
     return best, certificate(scenario, best, propagate_batch(scenario, best, samples))
 
 
@@ -171,12 +172,6 @@ def simulate_ctm(scenario: HighwayScenario, u,
 
 
 @dataclass(frozen=True)
-class ValidationConfig:
-    n_val: int = 1000
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     n_val: int
     horizon: int
@@ -190,8 +185,8 @@ class ValidationReport:
 
 
 def validate(scenario: HighwayScenario, generator: GeneratorSpec,
-             profile: SpeedProfile, j_hat: float,
-             cfg: ValidationConfig) -> ValidationReport:
+             profile: SpeedProfile, j_hat: float, n_val: int = 1000,
+             seed: int = 0) -> ValidationReport:
     """Fresh-sample check that the certified value is conservative.
 
     Draws n_val new disturbances over 3T steps on an offset seed stream,
@@ -206,18 +201,18 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
     """
     if not math.isfinite(j_hat):
         raise ValueError(f"j_hat must be finite, got {j_hat!r}")
-    if cfg.n_val < 1:
+    if n_val < 1:
         raise ValueError("n_val must be at least 1")
     horizon, n = 3 * scenario.T, scenario.n
     width = n + n * horizon
-    step = min(cfg.n_val, max(1, VALIDATE_CHUNK_ELEMENTS // width))
-    rng = np.random.default_rng(cfg.seed + VALIDATION_SEED_OFFSET)
+    step = min(n_val, max(1, VALIDATE_CHUNK_ELEMENTS // width))
+    rng = np.random.default_rng(seed + VALIDATION_SEED_OFFSET)
     draws = np.empty((step, width))
     # Row 0 carries the density sum of the chunks before; rows 1.. take
     # the states of the current chunk.
     states = np.empty((step + 1, n, horizon))
-    for start in range(0, cfg.n_val, step):
-        count = min(step, cfg.n_val - start)
+    for start in range(0, n_val, step):
+        count = min(step, n_val - start)
         fresh = generate_samples(generator, count, horizon, rng,
                                  out=draws[:count])
         flows = average_flow(profile, propagate(scenario, profile, fresh))
@@ -238,10 +233,10 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
                              "overflows the float range; the disturbance is "
                              "too large for this scenario")
         density = states[first:count + 1].sum(axis=0)
-    mean_objective = float(objective) / cfg.n_val
-    density /= cfg.n_val
+    mean_objective = float(objective) / n_val
+    density /= n_val
     return ValidationReport(
-        n_val=cfg.n_val, horizon=horizon, seed=cfg.seed, j_hat=j_hat,
+        n_val=n_val, horizon=horizon, seed=seed, j_hat=j_hat,
         mean_objective=mean_objective,
         guarantee=bool(mean_objective >= j_hat),
         mean_density=density,

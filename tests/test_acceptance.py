@@ -12,22 +12,12 @@ import numpy as np
 import desk
 from vslcert.certificate import certificate
 from vslcert.errors import InfeasibleScenarioError
-from vslcert.linearize import (
-    SearchProblem,
-    box_support,
-    box_support_lp,
-    build_lower,
-)
+from vslcert.linearize import box_support, box_support_lp, build_lower
 from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_milp
 from vslcert.network import SegmentParams, admissible_speeds, critical_density
 from vslcert.sampling import generate_samples, propagate_batch
 from vslcert.search import TERM_ENUMERATED, PrefixTree, run_search
-from vslcert.validation import (
-    UNCONTROLLED,
-    ValidationConfig,
-    simulate_ctm,
-    validate,
-)
+from vslcert.validation import UNCONTROLLED, simulate_ctm, validate
 
 FIVE_LANE = dict(f_bar=3.1e4, rho_bar=1050.0, u_bar=140.0)
 GRID = (40.0, 60.0, 80.0, 100.0, 120.0)
@@ -94,8 +84,7 @@ def test_lower_lp_matches_certificate():
         profile = random_profile(rng, scenario)
         batch = propagate_batch(scenario, profile, samples)
         closed = certificate(scenario, profile, batch)
-        problem = SearchProblem(scenario=scenario, samples=samples)
-        sol = solve_milp(build_lower(problem, profile, batch).model)
+        sol = solve_milp(build_lower(scenario, samples, profile, batch).model)
         if closed.finite:
             assert sol.status == OPTIMAL, sol.status
             rel = abs(sol.objective - closed.value) / max(1.0, abs(closed.value))
@@ -133,7 +122,7 @@ def enumerated_desks(count=20):
 
 def test_search_matches_enumeration():
     for scenario, samples, u_star, j_star in enumerated_desks():
-        report = run_search(SearchProblem(scenario=scenario, samples=samples))
+        report = run_search(scenario, samples)
         assert report.termination == TERM_ENUMERATED
         assert report.best_u == u_star.u
         assert report.best_value == report.certificate.value == j_star
@@ -200,13 +189,11 @@ def test_out_of_sample_guarantee():
     for run in range(20):
         scenario, gen = desk.vi_scenario()
         samples = generate_samples(gen, 3, scenario.T, seed=100 + run)
-        problem = SearchProblem(scenario=scenario, samples=samples)
-        report = run_search(problem, time_limit=10.0)
+        report = run_search(scenario, samples, time_limit=10.0)
         assert report.feasible
         logs.append(math.log10(report.best_value))
         best = scenario.speed_profile(report.best_u)
-        out = validate(scenario, gen, best, report.best_value,
-                       ValidationConfig(n_val=1000, seed=run))
+        out = validate(scenario, gen, best, report.best_value, n_val=1000, seed=run)
         held += int(out.guarantee)
     magnitudes_ok = all(3.5 <= v <= 5.5 for v in logs)
     check("out-of-sample guarantee", held >= 19 and magnitudes_ok,
@@ -238,8 +225,7 @@ def test_congestion_suppressed_on_incident_edge():
     crossings = np.nonzero(free[3] > threshold)[0]
 
     train = generate_samples(nominal_gen, 3, scenario.T, seed=11)
-    report = run_search(SearchProblem(scenario=scenario, samples=train),
-                        time_limit=10.0)
+    report = run_search(scenario, train, time_limit=10.0)
     assert report.termination == TERM_ENUMERATED
     assert report.best_u == (120.0, 120.0, 120.0, 80.0, 120.0)
     best, j_star = scenario.speed_profile(report.best_u), report.best_value

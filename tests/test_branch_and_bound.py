@@ -22,7 +22,7 @@ from vslcert.sampling import (
     propagate_batch,
 )
 from vslcert import search
-from vslcert.search import BLOCK_ELEMENTS, PrefixTree, branch_and_bound
+from vslcert.search import BLOCK_ELEMENTS, TERM_ENUMERATED, PrefixTree, run_search
 from vslcert.validation import exact_optimum
 
 HIGHWAY = Path(__file__).parent / "data" / "highway5.json"
@@ -45,15 +45,16 @@ def all_values(scenario, samples):
 
 
 def assert_matches_enumeration(scenario, samples, blocks=(BLOCK_ELEMENTS,)):
-    """branch_and_bound returns exact_optimum's (best, result) under every
-    block size in blocks, and (None, None) exactly when every profile is
-    the sentinel."""
+    """The branch-and-bound returns exact_optimum's profile and certificate
+    under every block size in blocks, and none exactly when every profile
+    is the sentinel."""
     expected = exact_optimum(scenario, samples)
+    best_u = None if expected[0] is None else expected[0].u
     for block in blocks:
-        best, result, expanded, pruned, finished = solve_with_block(scenario, samples,
-                                                                     block)
-        assert finished and (best, result) == expected, block
-        assert 0 <= pruned <= expanded
+        report = solve_with_block(scenario, samples, block)
+        assert report.termination == TERM_ENUMERATED, block
+        assert (report.best_u, report.certificate) == (best_u, expected[1]), block
+        assert 0 <= report.nodes_pruned <= report.nodes_expanded
     if expected[0] is None:
         assert (all_values(scenario, samples) == -math.inf).all()
     else:
@@ -64,7 +65,7 @@ def assert_matches_enumeration(scenario, samples, blocks=(BLOCK_ELEMENTS,)):
 def solve_with_block(scenario, samples, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "BLOCK_ELEMENTS", block)
-        return branch_and_bound(scenario, samples)
+        return run_search(scenario, samples)
 
 
 def every_block(scenario, samples):
@@ -140,8 +141,9 @@ def test_all_sentinel_menu_gives_none():
         scenario, gen = desk.sentinel_scenario(np.random.default_rng(seed), n=2, T=2)
         samples = desk.desk_samples(scenario, gen, 2, seed)
         for block in every_block(scenario, samples):
-            best, result, _, _, finished = solve_with_block(scenario, samples, block)
-            assert finished and (best, result) == (None, None)
+            report = solve_with_block(scenario, samples, block)
+            assert report.termination == TERM_ENUMERATED
+            assert (report.best_u, report.certificate) == (None, None)
 
 
 def test_prefix_bound_holds_on_every_completion():

@@ -294,12 +294,19 @@ def test_missing_scenario_is_config_error(tmp_path):
     assert rc == 2
 
 
-def test_malformed_json_is_config_error(tmp_path):
+def test_malformed_json_is_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path),
                "--speeds", "0.4,0.8"])
     assert rc == 2
+    # a file that is not UTF-8 text is refused naming the file
+    bad.write_bytes(b"\xff\xfe{}")
+    capsys.readouterr()
+    rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path),
+               "--speeds", "0.4,0.8"])
+    assert rc == 2
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -436,11 +443,17 @@ def fuzzed_configs(draw):
 @given(fuzzed_configs())
 @example(dict(read_config(HIGHWAY), epsilon=1e308))  # lam * epsilon overflows
 def test_certify_fuzzed_input_exits_or_gives_number(cfg):
+    assert_certify_exits_or_gives_number(cfg)
+
+
+def assert_certify_exits_or_gives_number(cfg):
+    """certify of the top-of-band profile exits 2 or 3, or writes a finite
+    value or the sentinel."""
     try:
         scenario = load_scenario(cfg)
         speeds = [band[-1] for band in scenario.bands]
     except (ValueError, InfeasibleScenarioError):  # certify must refuse it too
-        speeds = [cfg["gamma"][0]] * cfg["n"]
+        speeds = [cfg["gamma"][0]] * max(cfg["n"], 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
@@ -457,6 +470,40 @@ def test_certify_fuzzed_input_exits_or_gives_number(cfg):
     else:
         assert table["status"] == "invalid_empty_ambiguity"
         assert value == -math.inf, table
+
+
+def any_number(usual):
+    """The usual value, that value scaled by up to 100 either way, or any
+    finite float."""
+    return st.one_of(st.just(usual), st.floats(0.01, 100.0).map(lambda k: k * usual),
+                     st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def fuzzed_scenarios(draw):
+    """The corridor with n and T small, and up to four of L_km, delta_s,
+    pi and the segments' f_bar, rho_bar, u_bar, f_U and rho_U anywhere in
+    the finite float range. Segment e is the corridor's segment e mod 5,
+    and the disturbance is one bound for every edge, so that any n gets
+    past them."""
+    cfg = read_config(HIGHWAY)
+    cfg["n"] = draw(st.integers(-1, 6))
+    cfg["T"] = draw(st.integers(-1, 24))
+    cfg["pi"] = 1.0
+    cfg["segments"] = [dict(cfg["segments"][e % 5]) for e in range(max(cfg["n"], 0))]
+    cfg["disturbance"] = {"rho0": 260.0, "omega": {"lo": -1500.0, "hi": 2.4e4}}
+    keys = [(cfg, key) for key in ("L_km", "delta_s", "pi")] + [
+        (segment, key) for segment in cfg["segments"]
+        for key in ("f_bar", "rho_bar", "u_bar", "f_U", "rho_U")]
+    for section, key in draw(st.lists(st.sampled_from(keys), max_size=4)):
+        section[key] = draw(any_number(float(section[key])))
+    return cfg
+
+
+@settings(max_examples=80, deadline=None)
+@given(fuzzed_scenarios())
+def test_certify_fuzzed_scenario_exits_or_gives_number(cfg):
+    assert_certify_exits_or_gives_number(cfg)
 
 
 def any_bound(draw):
@@ -640,6 +687,27 @@ print(codes)
     assert proc.stdout.splitlines()[-1] == str([0] * 6 + [2, 0])
     first = masked_outputs(tmp_path / "first")
     assert first and first == masked_outputs(tmp_path / "last")
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_negative_seed_is_config_error(tmp_path, capsys, command):
+    rc = main([command, "--scenario", DESK, "--seed", "-1",
+               "--out", str(tmp_path), *CALLS[command]])
+    assert rc == 2
+    assert "--seed: expected a non-negative integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_out_under_a_file_is_config_error(tmp_path, capsys, command):
+    # An --out that is, or lies under, a regular file exits 2 naming it.
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile / "sub", afile):
+        rc = main([command, "--scenario", DESK, "--out", str(out), *CALLS[command]])
+        assert rc == 2
+        assert str(out) in capsys.readouterr().err
+    assert afile.read_text() == ""
 
 
 BAD_TEXT = ("", "abc", "1,5", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -6,12 +5,7 @@ import pytest
 
 import desk
 from vslcert.certificate import STATUS_EMPTY, certificate
-from vslcert.linearize import (
-    SearchProblem,
-    box_support,
-    box_support_lp,
-    build_lower,
-)
+from vslcert.linearize import box_support, box_support_lp, build_lower
 from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_milp
 from vslcert.sampling import propagate_batch
 
@@ -19,8 +13,7 @@ from vslcert.sampling import propagate_batch
 def small_problem(seed, n=2, T=2, menu_size=2, count=2):
     rng = np.random.default_rng(seed)
     sc, gen = desk.random_scenario(rng, n=n, T=T, menu_size=menu_size)
-    samples = desk.desk_samples(sc, gen, count, seed)
-    return SearchProblem(sc, samples)
+    return sc, desk.desk_samples(sc, gen, count, seed)
 
 
 def admissible_assignments(scenario):
@@ -32,12 +25,11 @@ def admissible_assignments(scenario):
 
 
 def test_lower_model_block_counts():
-    problem = small_problem(7, n=2, T=3, menu_size=2, count=2)
-    sc = problem.scenario
-    n, T, N = sc.n, sc.T, problem.samples.count
+    sc, samples = small_problem(7, n=2, T=3, menu_size=2, count=2)
+    n, T, N = sc.n, sc.T, samples.count
     combo = admissible_assignments(sc)[0]
     profile = sc.speed_profile([sc.gamma[i] for i in combo])
-    lower = build_lower(problem, profile)
+    lower = build_lower(sc, samples, profile)
     assert lower.model.block_rows == {"dual_feas": N * n * T,
                                       "norm_cap": 2 * N * n * T}
     assert lower.model.nvars == 1 + 2 * N * n * T
@@ -49,12 +41,11 @@ def test_lower_model_matches_certificate():
     while checked < 8:
         sc, gen = desk.random_scenario(rng)
         samples = desk.desk_samples(sc, gen, 2, checked)
-        problem = SearchProblem(sc, samples)
         combo = admissible_assignments(sc)[0]
         profile = sc.speed_profile([sc.gamma[i] for i in combo])
         batch = propagate_batch(sc, profile, samples)
         ref = certificate(sc, profile, batch)
-        lower = build_lower(problem, profile, batch)
+        lower = build_lower(sc, samples, profile, batch)
         sol = solve_milp(lower.model)
         if ref.finite:
             assert sol.status == OPTIMAL
@@ -68,26 +59,24 @@ def test_lower_model_unbounded_on_empty_ambiguity():
     rng = np.random.default_rng(41)
     sc, gen = desk.sentinel_scenario(rng)
     samples = desk.desk_samples(sc, gen, 2, 0)
-    problem = SearchProblem(sc, samples)
     combo = admissible_assignments(sc)[0]
     profile = sc.speed_profile([sc.gamma[i] for i in combo])
     batch = propagate_batch(sc, profile, samples)
     assert certificate(sc, profile, batch).status == STATUS_EMPTY
-    sol = solve_milp(build_lower(problem, profile, batch).model)
+    sol = solve_milp(build_lower(sc, samples, profile, batch).model)
     assert sol.status == UNBOUNDED
 
 
 def test_lower_model_rejects_foreign_batch():
-    problem = small_problem(43, n=1, T=2, menu_size=2)
-    sc = problem.scenario
+    sc, samples = small_problem(43, n=1, T=2, menu_size=2)
     assignments = admissible_assignments(sc)
     if len(assignments) < 2:
         pytest.skip("band collapsed to one assignment")
     p0 = sc.speed_profile([sc.gamma[i] for i in assignments[0]])
     p1 = sc.speed_profile([sc.gamma[i] for i in assignments[1]])
-    batch = propagate_batch(sc, p0, problem.samples)
+    batch = propagate_batch(sc, p0, samples)
     with pytest.raises(ValueError):
-        build_lower(problem, p1, batch)
+        build_lower(sc, samples, p1, batch)
 
 
 def test_support_function_identity():
@@ -101,18 +90,3 @@ def test_support_function_identity():
         closed = box_support(sc, profile, mu)
         via_lp = box_support_lp(sc, profile, mu)
         assert abs(closed - via_lp) <= 1e-8 * max(1.0, abs(closed))
-
-
-def test_search_problem_validates_shapes():
-    problem = small_problem(89, n=2, T=2)
-    other = small_problem(97, n=1, T=2)
-    with pytest.raises(ValueError):
-        SearchProblem(problem.scenario, other.samples)
-    # a longer draw is truncated to the scenario's T, a shorter one refused
-    longer = small_problem(89, n=2, T=4).samples
-    shorter = small_problem(89, n=2, T=1).samples
-    assert SearchProblem(problem.scenario, longer).samples is longer
-    with pytest.raises(ValueError, match="shorter"):
-        SearchProblem(problem.scenario, shorter)
-    with pytest.raises(ValueError, match="epsilon"):
-        dataclasses.replace(problem.scenario, epsilon=-0.5)

@@ -28,7 +28,6 @@ from vslcert.sampling import (
 )
 from vslcert.validation import (
     UNCONTROLLED,
-    ValidationConfig,
     brute_force_optimum,
     exact_optimum,
     simulate_ctm,
@@ -86,18 +85,17 @@ def reference_ctm(sc, u, sample, horizon):
                  "applied_omega": applied}
 
 
-def reference_validate(sc, gen, prof, cfg):
+def reference_validate(sc, gen, prof, n_val, seed):
     """validate's mean objective and mean density from a loop over the
     fresh draws, summed in draw order (reference)."""
     horizon = 3 * sc.T
-    fresh = generate_samples(gen, cfg.n_val, horizon,
-                             cfg.seed + VALIDATION_SEED_OFFSET)
+    fresh = generate_samples(gen, n_val, horizon, seed + VALIDATION_SEED_OFFSET)
     total = 0.0
     density = np.zeros((sc.n, horizon))
     for sample in fresh.samples:
         total += average_flow(prof, reference_propagate(sc, prof, sample))
         density += reference_ctm(sc, prof, sample, horizon)[0]
-    return total / cfg.n_val, density / cfg.n_val
+    return total / n_val, density / n_val
 
 
 def free_flow_case(seed, scale=0.02):
@@ -359,11 +357,10 @@ def test_validate_matches_per_draw_loop(n, n_val, chunk, monkeypatch):
         monkeypatch.setattr("vslcert.validation.VALIDATE_CHUNK_ELEMENTS",
                             chunk * (n + n * 3 * sc.T))
     prof = sc.speed_profile([b[0] for b in sc.bands])
-    cfg = ValidationConfig(n_val=n_val, seed=3)
-    report = validate(sc, gen, prof, 0.0, cfg)
+    report = validate(sc, gen, prof, 0.0, n_val=n_val, seed=3)
     step = chunk or n_val
     assert sizes == [step] * (n_val // step) + [n_val % step] * (n_val % step > 0)
-    mean_objective, mean_density = reference_validate(sc, gen, prof, cfg)
+    mean_objective, mean_density = reference_validate(sc, gen, prof, n_val, 3)
     assert report.mean_objective == mean_objective
     assert (report.mean_density == mean_density).all()
 
@@ -375,8 +372,7 @@ def test_validate_guarantee_flag_and_shapes():
     prof = sc.speed_profile([b[0] for b in sc.bands])
     batch = propagate_batch(sc, prof, samples)
     j_hat = certificate(sc, prof, batch).value
-    cfg = ValidationConfig(n_val=50, seed=1)
-    report = validate(sc, gen, prof, j_hat, cfg)
+    report = validate(sc, gen, prof, j_hat, n_val=50, seed=1)
     assert report.horizon == 3 * sc.T
     assert report.mean_density.shape == (sc.n, report.horizon)
     assert report.max_mean_density.shape == (sc.n,)
@@ -388,9 +384,8 @@ def test_validate_draws_are_fresh_but_deterministic():
     rng = np.random.default_rng(29)
     sc, gen = desk.random_scenario(rng, n=1, T=2)
     prof = sc.speed_profile([sc.bands[0][0]])
-    cfg = ValidationConfig(n_val=5, seed=9)
-    a = validate(sc, gen, prof, 0.0, cfg)
-    b = validate(sc, gen, prof, 0.0, cfg)
+    a = validate(sc, gen, prof, 0.0, n_val=5, seed=9)
+    b = validate(sc, gen, prof, 0.0, n_val=5, seed=9)
     assert a.mean_objective == b.mean_objective
     assert (a.mean_density == b.mean_density).all()
     # training draws at the same seed are a different stream
@@ -414,7 +409,7 @@ def test_validate_degenerate_point_mass():
     j_hat = certificate(sc, prof, batch).value
     expect = average_flow(prof, batch.rho[0])
     assert j_hat == pytest.approx(expect, rel=1e-12)
-    report = validate(sc, gen, prof, j_hat, ValidationConfig(n_val=3, seed=5))
+    report = validate(sc, gen, prof, j_hat, n_val=3, seed=5)
     assert report.mean_objective == pytest.approx(j_hat, rel=1e-12)
     assert report.guarantee
 
@@ -424,7 +419,7 @@ def test_validation_config_validation(tmp_path):
     sc, gen = desk.random_scenario(rng, n=1, T=2, menu_size=1)
     prof = sc.speed_profile([sc.bands[0][0]])
     with pytest.raises(ValueError, match="at least 1"):
-        validate(sc, gen, prof, 0.0, ValidationConfig(n_val=0))
+        validate(sc, gen, prof, 0.0, n_val=0)
     rc = main(["validate", "--scenario", str(HIGHWAY), "--out", str(tmp_path),
                "--speeds", "120,120,120,80,120", "--jhat", "1e5", "--nval", "0"])
     assert rc == 2
