@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import certificate
-from .errors import ConfigError, DisturbanceOverflowError, InfeasibleScenarioError
+from .errors import (ArgumentError, ConfigError, DisturbanceOverflowError,
+                     InfeasibleScenarioError)
 from .network import load_scenario, read_config
 from .sampling import generate_samples, load_generator, propagate_batch, read_samples
 from .search import run_search
@@ -38,6 +39,10 @@ from .validation import brute_force_optimum, validate
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
+
+# The flag or scenario key that sets each argument an ArgumentError names.
+INPUTS = {"count": "--count", "n_val": "--nval", "time_limit": "--time-limit",
+          "horizon": "T"}
 
 
 def _fmt(value) -> str:
@@ -283,6 +288,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         if isinstance(exc, DisturbanceOverflowError) and getattr(args, "samples", None):
             exc = ConfigError(args.samples, str(exc))
+        if isinstance(exc, ArgumentError):
+            exc = ConfigError(INPUTS[exc.name], str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -12,6 +12,15 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
+class ArgumentError(ValueError):
+    """Raised when an argument is out of range or sizes an array that
+    cannot be allocated; ``name`` is the argument's, e.g. ``"count"``."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
+
+
 class DisturbanceOverflowError(ValueError):
     """Raised when finite disturbances propagate past the float range."""
 

@@ -1,10 +1,11 @@
 """Linear programs of the certificate, kept as test oracles.
 
-:func:`build_lower` fixes a profile and evaluates its certificate as a
+:func:`build_lower` fixes a profile and returns its certificate as a
 linear program over the scale ``lam``, the multipliers ``eta`` and the
-prices ``nu``; its value matches the closed-form certificate.
-:func:`box_support_lp` gives the no-congestion box's support function
-through its multiplier LP, against the closed form :func:`box_support`.
+prices ``nu``; its value under :func:`~vslcert.lpsolve.solve_lp` matches
+the closed-form certificate. :func:`box_support_lp` gives the
+no-congestion box's support function through its multiplier LP, against
+the closed form :func:`box_support`.
 
 Indexing convention: trajectory-indexed quantities (densities, dual
 multipliers) live on steps t = 1..T and are stored 0-based.
@@ -13,33 +14,18 @@ multipliers) live on steps t = 1..T and are stored 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .lpsolve import LpModel, ModelBuilder, solve_milp
+from .lpsolve import LpModel, ModelBuilder, solve_lp
 from .network import HighwayScenario, SpeedProfile, eta_coefficient
 from .sampling import SampleSet, TrajectoryBatch, propagate_batch
 
 
-@dataclass
-class LowerModel:
-    """Built lower-bound LP for one fixed speed profile."""
-
-    scenario: HighwayScenario
-    samples: SampleSet
-    profile: SpeedProfile
-    batch: TrajectoryBatch
-    model: LpModel
-    lam_index: int
-    eta_index: np.ndarray  # (N, n, T)
-    nu_index: np.ndarray  # (N, n, T)
-
-
 def build_lower(scenario: HighwayScenario, samples: SampleSet,
                 profile: SpeedProfile,
-                batch: TrajectoryBatch | None = None) -> LowerModel:
+                batch: TrajectoryBatch | None = None) -> LpModel:
     """Assemble the fixed-profile certificate LP.
 
     The dual feasibility row of each (sample, edge, step) reads
@@ -56,33 +42,19 @@ def build_lower(scenario: HighwayScenario, samples: SampleSet,
     mb = ModelBuilder()
 
     lam = mb.add_var(0.0, math.inf, obj=-scenario.epsilon)
-    eta = np.empty((N, n, T), dtype=int)
-    nu = np.empty((N, n, T), dtype=int)
     for l in range(N):
         for e in range(n):
             seg = scenario.segments[e]
             slope = -seg.f_bar * seg.rho_bar / N
-            for t in range(T):
-                eta[l, e, t] = mb.add_var(0.0, math.inf, obj=slope)
-                nu[l, e, t] = mb.add_var(
-                    -math.inf, math.inf, obj=batch.rho[l, e, t] / N)
-
-    for l in range(N):
-        for e in range(n):
             u = profile.u[e]
-            k = eta_coefficient(scenario.segments[e], u)
+            k = eta_coefficient(seg, u)
             for t in range(T):
-                mb.add_row([eta[l, e, t], nu[l, e, t]], [k, -1.0],
-                           ">=", -u / T, block="dual_feas")
-                mb.add_row([nu[l, e, t], lam], [1.0, -1.0], "<=", 0.0,
-                           block="norm_cap")
-                mb.add_row([nu[l, e, t], lam], [1.0, 1.0], ">=", 0.0,
-                           block="norm_cap")
-
-    model = mb.build()
-    return LowerModel(scenario=scenario, samples=samples, profile=profile,
-                      batch=batch, model=model, lam_index=lam, eta_index=eta,
-                      nu_index=nu)
+                eta = mb.add_var(0.0, math.inf, obj=slope)
+                nu = mb.add_var(-math.inf, math.inf, obj=batch.rho[l, e, t] / N)
+                mb.add_row([eta, nu], [k, -1.0], ">=", -u / T, block="dual_feas")
+                mb.add_row([nu, lam], [1.0, -1.0], "<=", 0.0, block="norm_cap")
+                mb.add_row([nu, lam], [1.0, 1.0], ">=", 0.0, block="norm_cap")
+    return mb.build()
 
 
 def box_support(scenario: HighwayScenario, profile: SpeedProfile,
@@ -106,7 +78,7 @@ def box_support_lp(scenario: HighwayScenario, profile: SpeedProfile,
         for t in range(T):
             v = mb.add_var(0.0, math.inf, obj=-cost)
             mb.add_row([v], [k], ">=", mu[e, t], block="dual_feas")
-    sol = solve_milp(mb.build())
+    sol = solve_lp(mb.build())
     if sol.status != "optimal":
         raise NumericalError(f"support LP ended {sol.status}")
     return -sol.objective

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DisturbanceOverflowError
+from .errors import ArgumentError, ConfigError, DisturbanceOverflowError
 from .network import HighwayScenario, SpeedProfile, config_number, reject_unknown_keys
 
 # Validation seeds are derived from training seeds by this fixed offset so
@@ -180,21 +180,38 @@ def generate_samples(
     row, the draws of one call of c_1 + c_2 + ... draws. ``out``, a float
     array (count, n + n * horizon) with contiguous rows, then receives the
     draws in place of a new array; the set's arrays are read-only views
-    of it, valid until ``out`` is written again.
+    of it, valid until ``out`` is written again. Raises ArgumentError for
+    a count below 1, and when the draws cannot be allocated, naming count
+    or horizon, whichever sizes the longer axis of the draw array.
     """
     if count < 1:
-        raise ValueError("count must be at least 1")
+        raise ArgumentError("count", "count must be at least 1")
     n = len(gen.rho0_lo)
+    width = n + n * horizon
+    if out is None:
+        out = allocate((count, width), "count" if count >= width else "horizon")
+    # The bounds of one row, allocated after the rows so that the draws'
+    # allocation names the input that is too large.
     lo = np.concatenate([gen.rho0_lo, np.repeat(gen.omega_lo, horizon)])
     hi = np.concatenate([gen.rho0_hi, np.repeat(gen.omega_hi, horizon)])
     # Each draw is rho0 (n,) and then omega (n, horizon), one row of u.
-    u = np.random.default_rng(seed).random((count, n + n * horizon), out=out)
+    u = np.random.default_rng(seed).random((count, width), out=out)
     u *= hi - lo
     u += lo
     rho0, omega = u[:, :n], u[:, n:].reshape(count, n, horizon)
     rho0.setflags(write=False)
     omega.setflags(write=False)
     return SampleSet(rho0, omega)
+
+
+def allocate(shape: tuple[int, ...], name: str) -> np.ndarray:
+    """An empty float array of ``shape``, or ArgumentError naming the
+    argument ``name`` that sized it when numpy cannot allocate it:
+    MemoryError, or ValueError past the largest size numpy can index."""
+    try:
+        return np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        raise ArgumentError(name, f"{name} too large: {exc}") from None
 
 
 def propagate(

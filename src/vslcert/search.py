@@ -38,16 +38,17 @@ from .certificate import (
     dual_totals,
     scan_result,
 )
+from .errors import ArgumentError
 from .network import HighwayScenario, critical_density
 from .sampling import SampleSet, check_bounded, propagate_batch, propagate_cells
 
-# perfbench/tracer.py TARGETS looks up these names, certificate,
-# propagate_batch and four names of functions removed with the MILP search
-# on this module with getattr and no default, so they stay until the
-# benchmark reads spans from inside the product (ROADMAP item 3).
+# perfbench/tracer.py TARGETS looks up these names (solve_milp is solve_lp's
+# old name), certificate, propagate_batch and four removed functions on this
+# module with getattr and no default, so they stay until ROADMAP item 3. They
+# also load vslcert.lpsolve with the CLI, whose import time the benchmark reads.
 from .linearize import build_lower
-from .lpsolve import solve_milp
-from .lpsolve import solve_milp as solve_lp
+from .lpsolve import solve_lp
+from .lpsolve import solve_lp as solve_milp
 
 
 def _removed(*args, **kwargs):
@@ -288,8 +289,8 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     if samples.horizon < scenario.T:
         raise ValueError("sample horizon is shorter than the scenario's T")
     if time_limit is not None and not (math.isfinite(time_limit) and time_limit > 0):
-        raise ValueError(
-            f"time_limit must be finite and positive, got {time_limit!r}")
+        raise ArgumentError(
+            "time_limit", f"time_limit must be finite and positive, got {time_limit!r}")
     start = time.monotonic()
     deadline = None
     if time_limit is not None and profile_count(scenario) > DEFAULT_ENUM_CAP:

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificate import average_flow, certificate
-from .errors import InfeasibleScenarioError
+from .errors import ArgumentError, InfeasibleScenarioError
 from .network import HighwayScenario, SpeedProfile, wave_ratio
 from .sampling import (
     VALIDATION_SEED_OFFSET,
     DisturbanceSample,
     GeneratorSpec,
     SampleSet,
+    allocate,
     generate_samples,
     propagate,
     propagate_batch,
@@ -202,15 +203,15 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
     if not math.isfinite(j_hat):
         raise ValueError(f"j_hat must be finite, got {j_hat!r}")
     if n_val < 1:
-        raise ValueError("n_val must be at least 1")
+        raise ArgumentError("n_val", "n_val must be at least 1")
     horizon, n = 3 * scenario.T, scenario.n
     width = n + n * horizon
     step = min(n_val, max(1, VALIDATE_CHUNK_ELEMENTS // width))
     rng = np.random.default_rng(seed + VALIDATION_SEED_OFFSET)
-    draws = np.empty((step, width))
+    draws = allocate((step, width), "horizon")
     # Row 0 carries the density sum of the chunks before; rows 1.. take
     # the states of the current chunk.
-    states = np.empty((step + 1, n, horizon))
+    states = allocate((step + 1, n, horizon), "horizon")
     for start in range(0, n_val, step):
         count = min(step, n_val - start)
         fresh = generate_samples(generator, count, horizon, rng,

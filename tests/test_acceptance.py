@@ -13,7 +13,7 @@ import desk
 from vslcert.certificate import certificate
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.linearize import box_support, box_support_lp, build_lower
-from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_milp
+from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_lp
 from vslcert.network import SegmentParams, admissible_speeds, critical_density
 from vslcert.sampling import generate_samples, propagate_batch
 from vslcert.search import TERM_ENUMERATED, PrefixTree, run_search
@@ -84,7 +84,7 @@ def test_lower_lp_matches_certificate():
         profile = random_profile(rng, scenario)
         batch = propagate_batch(scenario, profile, samples)
         closed = certificate(scenario, profile, batch)
-        sol = solve_milp(build_lower(scenario, samples, profile, batch).model)
+        sol = solve_lp(build_lower(scenario, samples, profile, batch))
         if closed.finite:
             assert sol.status == OPTIMAL, sol.status
             rel = abs(sol.objective - closed.value) / max(1.0, abs(closed.value))

@@ -284,7 +284,8 @@ def test_solve_rejects_bad_budget(tmp_path, capsys, flag, value):
     rc = main(["solve", "--scenario", DESK, "--out", str(tmp_path),
                "--count", "2", f"{flag}={value}"])
     assert rc == 2
-    assert "must be finite and positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--time-limit: time_limit must be finite and positive" in err
     assert not (tmp_path / "result.csv").exists()
 
 
@@ -506,6 +507,39 @@ def test_certify_fuzzed_scenario_exits_or_gives_number(cfg):
     assert_certify_exits_or_gives_number(cfg)
 
 
+@settings(max_examples=80, deadline=None)
+@given(fuzzed_scenarios())
+def test_searches_and_validate_on_fuzzed_scenario(cfg):
+    """solve, brute-force and validate of the solved profile exit 2 or 3,
+    or give a finite value or the sentinel; when both searches exit 0,
+    solve's j_hat and profile are brute-force's, bit for bit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        common = ["--scenario", str(path)]
+        codes = [main(["solve", *common, "--out", tmp + "/solve"]),
+                 main(["brute-force", *common, "--out", tmp + "/bf"])]
+        assert set(codes) <= {0, 2, 3}, codes
+        if codes[1] == 0:
+            bf_header, bf_rows = read_table(Path(tmp) / "bf" / "brute_force.csv")
+            assert math.isfinite(float(bf_header["j_star"])), bf_header
+        if codes[0] != 0:
+            return
+        header, rows = read_table(Path(tmp) / "solve" / "result.csv")
+        assert math.isfinite(float(header["j_hat"])), header
+        if codes[1] == 0:
+            assert header["j_hat"] == bf_header["j_star"]
+            assert [r["u"] for r in rows] == [r["u"] for r in bf_rows]
+        speeds = ",".join(r["u"] for r in rows)
+        rc = main(["validate", *common, "--speeds", speeds, "--jhat", header["j_hat"],
+                   "--nval", "20", "--out", tmp + "/validate"])
+        if rc in (2, 3):
+            return
+        assert rc == 0
+        header, _ = read_table(Path(tmp) / "validate" / "summary.csv")
+    assert math.isfinite(float(header["mean_objective"])), header
+
+
 def any_bound(draw):
     """A bound anywhere in the finite float range: a number or a {lo, hi}
     pair, mostly ordered."""
@@ -696,6 +730,32 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command):
     assert rc == 2
     assert "--seed: expected a non-negative integer" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# Every count above 0 and every horizon below asks for more than 2**47 bytes,
+# more than a process can map, so the allocation fails at once without
+# touching memory.
+@pytest.mark.parametrize("count", ["0", "10000000000000", "100000000000000000"])
+@pytest.mark.parametrize("command", ["brute-force", "certify", "simulate", "solve"])
+def test_bad_count_is_config_error_naming_it(tmp_path, capsys, command, count):
+    rc = main([command, "--scenario", DESK, "--count", count,
+               "--out", str(tmp_path), *CALLS[command]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: --count: " in err
+    assert ("count must be at least 1" in err) == (count == "0")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_horizon_too_long_to_allocate_names_T(tmp_path, capsys, command):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(dict(read_config(DESK), T=10**13)))
+    out = tmp_path / "out"
+    rc = main([command, "--scenario", str(path), "--out", str(out), *CALLS[command]])
+    assert rc == 2
+    assert "error: T: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(CALLS))

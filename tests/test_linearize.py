@@ -6,7 +6,7 @@ import pytest
 import desk
 from vslcert.certificate import STATUS_EMPTY, certificate
 from vslcert.linearize import box_support, box_support_lp, build_lower
-from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_milp
+from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_lp
 from vslcert.sampling import propagate_batch
 
 
@@ -29,10 +29,10 @@ def test_lower_model_block_counts():
     n, T, N = sc.n, sc.T, samples.count
     combo = admissible_assignments(sc)[0]
     profile = sc.speed_profile([sc.gamma[i] for i in combo])
-    lower = build_lower(sc, samples, profile)
-    assert lower.model.block_rows == {"dual_feas": N * n * T,
-                                      "norm_cap": 2 * N * n * T}
-    assert lower.model.nvars == 1 + 2 * N * n * T
+    model = build_lower(sc, samples, profile)
+    assert model.block_rows == {"dual_feas": N * n * T,
+                                "norm_cap": 2 * N * n * T}
+    assert model.nvars == 1 + 2 * N * n * T
 
 
 def test_lower_model_matches_certificate():
@@ -45,8 +45,7 @@ def test_lower_model_matches_certificate():
         profile = sc.speed_profile([sc.gamma[i] for i in combo])
         batch = propagate_batch(sc, profile, samples)
         ref = certificate(sc, profile, batch)
-        lower = build_lower(sc, samples, profile, batch)
-        sol = solve_milp(lower.model)
+        sol = solve_lp(build_lower(sc, samples, profile, batch))
         if ref.finite:
             assert sol.status == OPTIMAL
             assert sol.objective == pytest.approx(ref.value, rel=1e-6, abs=1e-9)
@@ -63,7 +62,7 @@ def test_lower_model_unbounded_on_empty_ambiguity():
     profile = sc.speed_profile([sc.gamma[i] for i in combo])
     batch = propagate_batch(sc, profile, samples)
     assert certificate(sc, profile, batch).status == STATUS_EMPTY
-    sol = solve_milp(build_lower(sc, samples, profile, batch).model)
+    sol = solve_lp(build_lower(sc, samples, profile, batch))
     assert sol.status == UNBOUNDED
 
 

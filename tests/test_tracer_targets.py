@@ -5,6 +5,10 @@ with a timing wrapper through ``getattr`` with no default, and counts
 search rounds from ``SolveReport.iterations``; a refactor that drops one
 of them makes a traced benchmark run raise. The tracer is read as text,
 not imported, so this test never installs it.
+
+Those names in ``vslcert.search`` are the only imports in the package's
+modules that nothing reads: every other imported name is used, so that a
+deletion does not leave its imports behind.
 """
 
 import ast
@@ -14,7 +18,8 @@ from pathlib import Path
 
 from vslcert.search import SolveReport
 
-TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def tracer_targets():
@@ -36,3 +41,26 @@ def test_every_tracer_target_resolves():
 
 def test_solve_report_keeps_iterations():
     assert "iterations" in {f.name for f in dataclasses.fields(SolveReport)}
+
+
+def unused_imports(path):
+    """Names the module at ``path`` imports, at any depth, and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    # An attribute chain such as np.inf starts with a Name, so it reads np.
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_every_import_in_the_package_is_used():
+    kept = {name for module, name in tracer_targets() if module == "vslcert.search"}
+    unused = {}
+    for path in sorted((ROOT / "src" / "vslcert").glob("*.py")):
+        names = unused_imports(path) - (kept if path.stem == "search" else set())
+        if names and path.name != "__init__.py":
+            unused[path.name] = sorted(names)
+    assert not unused

@@ -414,7 +414,7 @@ def test_validate_degenerate_point_mass():
     assert report.guarantee
 
 
-def test_validation_config_validation(tmp_path):
+def test_validation_config_validation(tmp_path, capsys):
     rng = np.random.default_rng(17)
     sc, gen = desk.random_scenario(rng, n=1, T=2, menu_size=1)
     prof = sc.speed_profile([sc.bands[0][0]])
@@ -423,4 +423,5 @@ def test_validation_config_validation(tmp_path):
     rc = main(["validate", "--scenario", str(HIGHWAY), "--out", str(tmp_path),
                "--speeds", "120,120,120,80,120", "--jhat", "1e5", "--nval", "0"])
     assert rc == 2
+    assert "--nval: n_val must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "summary.csv").exists()
