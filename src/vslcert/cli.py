@@ -6,7 +6,8 @@ search by branch-and-bound, exact unless a time limit stops it past the
 enumeration cap), brute-force (every profile scored, the check on
 solve), validate (fresh-sample out-of-sample check). Every
 output is a CSV with "# key=value" comment lines followed by a
-column-name row; all randomness flows through the --seed flag and the
+column-name row, written as a new file that replaces whatever was at its
+path; all randomness flows through the --seed flag and the
 seed is recorded in the headers, so reruns are bit-identical except for
 wall times and for a budgeted search past the cap that stops on its
 time limit.
@@ -26,8 +27,6 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .certificate import certificate
 from .errors import (ArgumentError, ConfigError, DisturbanceOverflowError,
                      InfeasibleScenarioError)
@@ -41,11 +40,19 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 
 # The flag or scenario key that sets each argument an ArgumentError names.
-INPUTS = {"count": "--count", "n_val": "--nval", "time_limit": "--time-limit",
-          "horizon": "T"}
+INPUTS = {"count": "--count", "n_val": "--nval", "j_hat": "--jhat",
+          "time_limit": "--time-limit", "horizon": "T"}
 
 
 def _fmt(value) -> str:
+    # Exact built-in types return at once: most values are one, and they
+    # need no ``.item()`` probe. numpy scalars (np.float64 subclasses
+    # float) and bools take the general path.
+    kind = type(value)
+    if kind is float:
+        return repr(value)
+    if kind is int or kind is str:
+        return str(value)
     if hasattr(value, "item"):
         value = value.item()
     if isinstance(value, float):
@@ -54,9 +61,20 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
+    """Write one output as a new file, streaming ``rows`` through the buffer.
+
+    A file already at ``path`` is removed first, not truncated: on ext4,
+    truncating a file that holds data to zero costs several times a fresh
+    create (its close likely starts writeback). A symlink at ``path`` is
+    replaced, not written through; a directory there fails on the remove.
+    """
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "w", newline="")
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            pass
+        fh = open(path, "x", newline="")
     except OSError as exc:
         raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
     with fh:
@@ -64,7 +82,7 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
             fh.write(f"# {key}={_fmt(value)}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(map(_fmt, row)) + "\n")
     return path
 
 
@@ -107,8 +125,10 @@ def cmd_simulate(args) -> int:
         Path(args.out) / "trajectories.csv",
         {"command": "simulate", "u": _speeds_header(profile), **source},
         ["l", "e", "t", "rho"],
-        ((l + 1, e + 1, t + 1, float(v))
-         for (l, e, t), v in np.ndenumerate(batch.rho)),
+        ((l + 1, e + 1, t + 1, v)
+         for l, draw in enumerate(batch.rho)
+         for e, steps in enumerate(draw.tolist())
+         for t, v in enumerate(steps)),
     )
     print(path)
     return EXIT_OK
@@ -204,17 +224,16 @@ def cmd_validate(args) -> int:
         out / "summary.csv",
         header,
         ["e", "max_mean_density", "critical_density"],
-        (
-            (e + 1, report.max_mean_density[e], report.critical_density[e])
-            for e in range(scenario.n)
-        ),
+        zip(range(1, scenario.n + 1), report.max_mean_density.tolist(),
+            report.critical_density.tolist()),
     )
     path = _write_csv(
         out / "density_mean.csv",
         header,
         ["l", "e", "t", "rho"],
-        ((1, e + 1, t + 1, float(v))
-         for (e, t), v in np.ndenumerate(report.mean_density)),
+        ((1, e + 1, t + 1, v)
+         for e, steps in enumerate(report.mean_density.tolist())
+         for t, v in enumerate(steps)),
     )
     print(path)
     return EXIT_OK

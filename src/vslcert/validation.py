@@ -198,10 +198,10 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
     buffers reused from chunk to chunk, so memory does not grow with
     n_val. Both means are sums in draw order carried from chunk to chunk,
     so they have the bits of one pass over all draws.
-    A non-finite j_hat raises ValueError: no run could check it.
+    A non-finite j_hat raises ``ArgumentError``: no run could check it.
     """
     if not math.isfinite(j_hat):
-        raise ValueError(f"j_hat must be finite, got {j_hat!r}")
+        raise ArgumentError("j_hat", f"j_hat must be finite, got {j_hat!r}")
     if n_val < 1:
         raise ArgumentError("n_val", "n_val must be at least 1")
     horizon, n = 3 * scenario.T, scenario.n

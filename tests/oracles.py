@@ -1,4 +1,5 @@
-"""Reference formulas of the certificate that only the tests use."""
+"""Reference formulas of the certificate, and of the CSV writer's value
+format, that only the tests use."""
 
 import numpy as np
 
@@ -34,3 +35,13 @@ def allowable_flow(seg, rho: float, u: float) -> float:
     if rho <= critical_density(seg, u):
         return u * rho
     return wave_ratio(seg) * seg.u_bar * (seg.rho_bar - rho)
+
+
+def fmt(value) -> str:
+    """A CSV field as the command line writes it: numpy scalars through
+    ``.item()``, floats by ``repr``, everything else by ``str``."""
+    if hasattr(value, "item"):
+        value = value.item()
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)

@@ -1,21 +1,25 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import desk
+import oracles
 import vslcert
-from vslcert.cli import build_parser, main
+from vslcert.cli import _fmt, _write_csv, build_parser, main
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import load_scenario, read_config
 
@@ -272,7 +276,8 @@ def test_validate_rejects_non_finite_jhat(tmp_path, capsys, jhat):
     rc = main(["validate", "--scenario", HIGHWAY, "--out", str(tmp_path),
                "--speeds", "120,120,120,80,120", f"--jhat={jhat}", "--nval", "5"])
     assert rc == 2
-    assert "j_hat must be finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: --jhat: j_hat must be finite, got {float(jhat)!r}\n"
     assert not (tmp_path / "summary.csv").exists()
 
 
@@ -768,6 +773,85 @@ def test_out_under_a_file_is_config_error(tmp_path, capsys, command):
         assert rc == 2
         assert str(out) in capsys.readouterr().err
     assert afile.read_text() == ""
+
+
+# The files each command writes under --out, in the order it writes them.
+OUTPUTS = {
+    "simulate": ["trajectories.csv"],
+    "certify": ["certificate.csv"],
+    "solve": ["result.csv"],
+    "brute-force": ["brute_force.csv"],
+    "validate": ["summary.csv", "density_mean.csv"],
+}
+
+
+def _run(command, out):
+    return main([command, "--scenario", DESK, "--out", str(out), *CALLS[command]])
+
+
+@pytest.mark.parametrize("command", sorted(CALLS))
+def test_rerun_replaces_stale_outputs(tmp_path, command):
+    """Longer garbage at every output path, and symlinks there, leave the
+    bytes of a fresh run: each output is a new regular file, and a
+    symlink's target is not written through."""
+    assert _run(command, tmp_path / "fresh") == 0
+    fresh = masked_outputs(tmp_path / "fresh")
+    assert sorted(fresh) == sorted(OUTPUTS[command])
+    stale, linked = tmp_path / "stale", tmp_path / "linked"
+    stale.mkdir()
+    linked.mkdir()
+    targets = {}
+    for name in OUTPUTS[command]:
+        size = (tmp_path / "fresh" / name).stat().st_size
+        (stale / name).write_text("garbage,row\n" * (size // 6 + 10))
+        targets[name] = (tmp_path / f"target-{name}", "keep me\n" * (size // 4 + 10))
+        targets[name][0].write_text(targets[name][1])
+        (linked / name).symlink_to(targets[name][0])
+    for out in (stale, linked):
+        assert _run(command, out) == 0
+        assert masked_outputs(out) == fresh
+    for name, (target, text) in targets.items():
+        assert not (linked / name).is_symlink()
+        assert (linked / name).is_file()
+        assert target.read_text() == text
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c in sorted(CALLS)
+                                           for n in OUTPUTS[c]])
+def test_directory_at_output_path_is_config_error(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    (path / "inner").mkdir(parents=True)
+    assert _run(command, tmp_path) == 2
+    assert f"error: {path}: cannot write file: " in capsys.readouterr().err
+    assert (path / "inner").is_dir()
+
+
+FMT_VALUES = [1.5, 0.1, 1e-300, 2.0 ** 70, -0.0, math.inf, -math.inf, math.nan,
+              np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.float32(np.inf),
+              0, -7, 10 ** 30, np.int64(-3), np.int32(5), True, False,
+              np.bool_(True), np.bool_(False), "", "finite", "1,2"]
+
+
+@pytest.mark.parametrize("value", FMT_VALUES, ids=repr)
+def test_fmt_matches_the_reference(value):
+    assert _fmt(value) == oracles.fmt(value)
+
+
+def test_write_csv_streams_rows(tmp_path):
+    """Writing 200,000 rows holds far less than their text at once: rows
+    go through the file's buffer, not into one string. The fields are
+    strings, which format without allocating, to keep tracing quick."""
+    rows = itertools.repeat(("1", "2", "3", "0.12345678901234"), 200_000)
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        _write_csv(path, {"command": "test"}, ["l", "e", "t", "rho"], rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 4_000_000
+    assert peak < 256 * 1024, (peak, size)
 
 
 BAD_TEXT = ("", "abc", "1,5", "nan", "NaN", "-nan", "inf", "-inf", "Infinity",
