@@ -60,8 +60,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
-    """Write one output as a new file, streaming ``rows`` through the buffer.
+def _create(path: Path):
+    """A new file opened for writing at ``path``.
 
     A file already at ``path`` is removed first, not truncated: on ext4,
     truncating a file that holds data to zero costs several times a fresh
@@ -74,9 +74,18 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
             path.unlink()
         except FileNotFoundError:
             pass
-        fh = open(path, "x", newline="")
+        return open(path, "x", newline="")
     except OSError as exc:
         raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
+
+
+def _write_csv(path: Path, header: dict, columns: list[str], rows,
+               fh=None) -> Path:
+    """Write one output at ``path``, streaming ``rows`` through the buffer,
+    into ``fh`` when :func:`_create` has opened it already, else into a
+    new file."""
+    if fh is None:
+        fh = _create(path)
     with fh:
         for key, value in header.items():
             fh.write(f"# {key}={_fmt(value)}\n")
@@ -192,10 +201,10 @@ def cmd_solve(args) -> int:
 def cmd_brute_force(args) -> int:
     cfg, scenario = _load_config(args)
     samples, source = _load_samples(args, cfg, scenario)
-    profile, value = brute_force_optimum(scenario, samples)
+    profile, result = brute_force_optimum(scenario, samples)
     path = _write_csv(
         Path(args.out) / "brute_force.csv",
-        {"command": "brute-force", **source, "j_star": value,
+        {"command": "brute-force", **source, "j_star": result.value,
          "epsilon": scenario.epsilon},
         ["e", "u"],
         ((e + 1, u) for e, u in enumerate(profile.u)),
@@ -220,20 +229,32 @@ def cmd_validate(args) -> int:
         "mean_objective": report.mean_objective,
         "guarantee": report.guarantee,
     }
+    # Both outputs are created before a row is written to either; when the
+    # second cannot be, the first is removed again, so neither is left.
+    summary_path, density_path = out / "summary.csv", out / "density_mean.csv"
+    summary = _create(summary_path)
+    try:
+        density = _create(density_path)
+    except ConfigError:
+        summary.close()
+        summary_path.unlink()
+        raise
     _write_csv(
-        out / "summary.csv",
+        summary_path,
         header,
         ["e", "max_mean_density", "critical_density"],
         zip(range(1, scenario.n + 1), report.max_mean_density.tolist(),
             report.critical_density.tolist()),
+        summary,
     )
     path = _write_csv(
-        out / "density_mean.csv",
+        density_path,
         header,
         ["l", "e", "t", "rho"],
         ((1, e + 1, t + 1, v)
          for e, steps in enumerate(report.mean_density.tolist())
          for t, v in enumerate(steps)),
+        density,
     )
     print(path)
     return EXIT_OK

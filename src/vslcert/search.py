@@ -6,11 +6,12 @@ So one depth-first walk of a prefix tree (:class:`PrefixTree`, one cell
 per level, each child propagated from its parent's outflow) scores every
 profile with the value ``certificate`` gives it, bit for bit, from its
 running sums. :func:`run_search` is that walk. Without prune tests it
-scores every leaf: ``validation.exact_optimum``, which ``brute-force``
-runs. With them (``solve``) it is a prefix-shared branch-and-bound (Land
-& Doig 1960): a capacity-flow bound on every completion of a prefix and
-the radius prune the tree, an implicit enumeration of the whole menu, so
-it returns the exact optimum too (termination ``enumerated``, gap 0).
+scores every leaf: ``validation.brute_force_optimum``, which
+``brute-force`` runs. With them (``solve``) it is a prefix-shared
+branch-and-bound (Land & Doig 1960): a capacity-flow bound on every
+completion of a prefix and the radius prune the tree, an implicit
+enumeration of the whole menu, so it returns the exact optimum too
+(termination ``enumerated``, gap 0).
 
 A time limit binds only on menus of more than ``DEFAULT_ENUM_CAP``
 profiles, so the answer on a menu under the cap is the same on every
@@ -44,7 +45,8 @@ from .sampling import SampleSet, check_bounded, propagate_batch, propagate_cells
 
 # perfbench/tracer.py TARGETS looks up these names (solve_milp is solve_lp's
 # old name), certificate, propagate_batch and four removed functions on this
-# module with getattr and no default, so they stay until ROADMAP item 3. They
+# module with getattr and no default, so they stay until the benchmark change
+# that moves the tracer onto spans (ROADMAP, "Spans inside the product"). They
 # also load vslcert.lpsolve with the CLI, whose import time the benchmark reads.
 from .linearize import build_lower
 from .lpsolve import solve_lp
@@ -60,7 +62,7 @@ build_upper = decode_profile = assignment_of = eta_saturation = _removed
 TERM_ENUMERATED = "enumerated"
 TERM_TIME = "time_limit"
 
-# Menus of more profiles are refused by exact_optimum, and a search past
+# Menus of more profiles are refused by brute_force_optimum, and a search past
 # it may be stopped by its time limit.
 DEFAULT_ENUM_CAP = 100_000
 # Trajectory elements (prefixes x speeds x draws x steps 0..T) of the
@@ -98,7 +100,8 @@ class SolveReport:
     nodes_expanded: int
     nodes_pruned: int
     # Always empty: perfbench/tracer.py counts its entries as search rounds
-    # (ROADMAP item 3).
+    # until the benchmark change drops that metric (ROADMAP, "Spans inside
+    # the product").
     iterations: tuple = ()
 
     @property
@@ -255,10 +258,10 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     sums, with the value ``certificate`` gives it, and the first best in
     product order wins; the report's certificate is scanned from the same
     sums. With prune False every leaf is scored: that walk is
-    ``validation.exact_optimum``. With prune True (the branch-and-bound)
-    the answer is the same, bit for bit. A finished search with no
-    profile (``best_u`` None) means every profile has an empty ambiguity
-    set.
+    ``validation.brute_force_optimum``. With prune True (the
+    branch-and-bound) the answer is the same, bit for bit. A finished
+    search with no profile (``best_u`` None) means every profile has an
+    empty ambiguity set.
 
     The tree is walked one cell per level, in chunks of at most
     ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A chunk whose

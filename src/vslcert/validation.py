@@ -2,11 +2,12 @@
 
 Three tools live here: the exact evaluator, which scores every
 admissible profile by the walk of the search's prefix tree with no
-prune test (``brute-force``, up to ``DEFAULT_ENUM_CAP`` profiles, and
-the ground truth that ``solve``'s branch-and-bound must match), a
-physical demand/supply traffic simulator used for congestion
-comparisons, and a fresh-sample Monte-Carlo check of the certificate's
-out-of-sample guarantee.
+prune test (``brute_force_optimum``: ``brute-force``, up to
+``DEFAULT_ENUM_CAP`` profiles, and the ground truth that ``solve``'s
+branch-and-bound must match), a physical demand/supply traffic
+simulator used for congestion comparisons (``simulate_ctm``), and a
+fresh-sample Monte-Carlo check of the certificate's out-of-sample
+guarantee (``validate``).
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities
@@ -36,8 +37,6 @@ from .sampling import (
 )
 from .search import DEFAULT_ENUM_CAP, profile_count, run_search
 
-UNCONTROLLED = "uncontrolled"
-
 # Values drawn per chunk of validate's fresh draws, (cells + cells x
 # steps) per draw; the CTM states of a chunk take about as many. Chosen by
 # timing validate on the corridor (305 values per draw, 859 draws per
@@ -46,17 +45,19 @@ UNCONTROLLED = "uncontrolled"
 VALIDATE_CHUNK_ELEMENTS = 1 << 18
 
 
-def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
-    """Evaluate every admissible profile and return (best, result).
+def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
+    """Score every admissible profile and return (best, result).
 
-    result is the winner's ``CertificateResult``; both are None when every
-    profile has an empty ambiguity set. Every leaf of the prefix tree is
-    scored, by the walk of ``search.run_search`` with no prune test, with
-    the value :func:`certificate` gives it. The first best in product
-    order wins, so ties go to the lexicographically smallest speed vector;
-    its certificate is then evaluated once more, on its own trajectories,
-    as the check on the tree's scan table. Refuses, before propagating
-    anything, when the profile count exceeds ``DEFAULT_ENUM_CAP``.
+    result is the winner's ``CertificateResult``. Every leaf of the prefix
+    tree is scored, by the walk of ``search.run_search`` with no prune
+    test, with the value :func:`certificate` gives it. The first best in
+    product order wins, so ties go to the lexicographically smallest speed
+    vector; its certificate is then evaluated once more, on its own
+    trajectories, as the check on the tree's scan table. Refuses
+    (``ValueError``), before propagating anything, when the profile count
+    exceeds ``DEFAULT_ENUM_CAP``; use ``solve`` instead. Raises
+    ``InfeasibleScenarioError`` when every profile has an empty ambiguity
+    set.
     """
     total = profile_count(scenario)
     if total > DEFAULT_ENUM_CAP:
@@ -66,54 +67,30 @@ def exact_optimum(scenario: HighwayScenario, samples: SampleSet):
         )
     report = run_search(scenario, samples, prune=False)
     if report.best_u is None:
-        return None, None
-    best = scenario.speed_profile(report.best_u)
-    return best, certificate(scenario, best, propagate_batch(scenario, best, samples))
-
-
-def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
-    """Enumerate every admissible profile and return (best, value).
-
-    Profiles whose ambiguity set is empty are skipped. Ties go to the
-    lexicographically smallest speed vector. Refuses when the product of
-    per-edge menu sizes exceeds ``DEFAULT_ENUM_CAP``; use ``solve``
-    instead.
-    """
-    best, result = exact_optimum(scenario, samples)
-    if best is None:
         raise InfeasibleScenarioError(
             "every admissible profile has an empty ambiguity set; "
             "the radius is too small for these samples"
         )
-    return best, result.value
+    best = scenario.speed_profile(report.best_u)
+    return best, certificate(scenario, best, propagate_batch(scenario, best, samples))
 
 
-def simulate_ctm(scenario: HighwayScenario, u,
+def simulate_ctm(scenario: HighwayScenario, speeds,
                  sample: DisturbanceSample | SampleSet,
-                 horizon: int | None = None, return_flows: bool = False,
-                 out: np.ndarray | None = None):
-    """Physical demand/supply simulation over the given horizon.
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Physical demand/supply simulation over every step of the sample.
 
-    u is a SpeedProfile or the string "uncontrolled" (free-flow speeds,
-    ignoring incident caps). Flow between neighbours is the minimum of
-    upstream demand min(u*rho, f_U) and downstream supply
+    speeds holds one speed per edge: a profile's ``u``, or
+    ``scenario.uncontrolled_profile()`` (free-flow speeds, ignoring
+    incident caps). Flow between neighbours is the minimum of upstream
+    demand min(u*rho, f_U) and downstream supply
     min(tau*u_bar*(rho_U - rho), f_U). The boundary inflow is the first
     edge's disturbance saturated at that edge's supply; disturbances on
     the other edges are added directly and the result is clamped to
-    [0, rho_U]. States at steps 1..horizon (default: every disturbance
-    step) are (n, horizon) for one ``DisturbanceSample`` and (N, n, horizon)
-    for a ``SampleSet``, written into ``out`` when it is given; so is the
-    flow ``applied_omega``, while ``boundary`` and ``exit`` drop the edge
-    axis.
+    [0, rho_U]. The states at steps 1..steps of ``sample.omega`` are
+    (n, steps) for one ``DisturbanceSample`` and (N, n, steps) for a
+    ``SampleSet``, written into ``out`` when it is given.
     """
-    if horizon is None:
-        horizon = sample.omega.shape[-1]
-    if sample.omega.shape[-1] < horizon:
-        raise ValueError("sample horizon shorter than requested simulation")
-    if u == UNCONTROLLED:
-        speeds = scenario.uncontrolled_profile()
-    else:
-        speeds = u.as_array()
     segments = scenario.segments
     h = scenario.h
 
@@ -131,28 +108,21 @@ def simulate_ctm(scenario: HighwayScenario, u,
     speeds, f_U, rho_U, wave = params
     omega = sample.omega.T  # (steps, n, draws)
     if out is None:
-        out = np.empty(sample.rho0.shape + (horizon,))
-    states = out.T  # (horizon, n, draws)
-    rho, demand, supply, interim = np.empty((4,) + shape)
+        out = np.empty(sample.omega.shape)
+    rho, demand, supply, inflow, interim = np.empty((5,) + shape)
     np.clip(sample.rho0.T, 0.0, rho_U, out=rho)
-    # The flows keep every step only when returned; otherwise step k = 0
-    # is overwritten each step.
-    steps = horizon if return_flows else 1
-    inflow, outflow = np.empty((2, steps) + shape)
-    if return_flows:
-        applied = np.empty((steps,) + shape)
-    for t in range(horizon):
-        k = t % steps
+    for t, state in enumerate(out.T):
         np.multiply(speeds, rho, out=demand)
         np.minimum(demand, f_U, out=demand)
         np.subtract(rho_U, rho, out=supply)
         np.multiply(wave, supply, out=supply)
         np.minimum(supply, f_U, out=supply)
-        np.minimum(omega[t, :1], supply[:1], out=inflow[k, :1])
-        np.minimum(demand[:-1], supply[1:], out=inflow[k, 1:])
-        outflow[k, :-1] = inflow[k, 1:]
-        outflow[k, -1] = demand[-1]
-        np.subtract(inflow[k], outflow[k], out=interim)
+        np.minimum(omega[t, :1], supply[:1], out=inflow[:1])
+        np.minimum(demand[:-1], supply[1:], out=inflow[1:])
+        # Each edge's outflow is the next edge's inflow; the last edge's is
+        # its demand.
+        np.subtract(inflow[:-1], inflow[1:], out=interim[:-1])
+        np.subtract(inflow[-1:], demand[-1:], out=interim[-1:])
         np.multiply(h, interim, out=interim)
         np.add(rho, interim, out=interim)
         # rho <- clip(interim + h * omega) on every edge but the first.
@@ -160,15 +130,7 @@ def simulate_ctm(scenario: HighwayScenario, u,
         np.multiply(h, omega[t, 1:], out=rho[1:])
         np.add(interim[1:], rho[1:], out=rho[1:])
         np.clip(rho, 0.0, rho_U, out=rho)
-        if return_flows:
-            np.subtract(rho, interim, out=applied[k])
-            np.divide(applied[k], h, out=applied[k])
-        states[t] = rho
-    if return_flows:
-        # Back to the public layout: draws first, steps last.
-        return out, {"boundary": inflow[:, 0].T.copy(),
-                     "exit": outflow[:, -1].T.copy(),
-                     "applied_omega": applied.T.copy()}
+        state[...] = rho
     return out
 
 
@@ -192,8 +154,8 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
 
     Draws n_val new disturbances over 3T steps on an offset seed stream,
     compares their mean objective over the training horizon T against
-    j_hat, and runs the physical simulator over all 3T steps for the mean
-    density (n, 3T). The draws are taken, propagated and simulated in
+    j_hat, and runs the physical simulator at the profile's speeds over
+    all 3T steps for the mean density (n, 3T). The draws are taken, propagated and simulated in
     chunks of at most ``VALIDATE_CHUNK_ELEMENTS`` drawn values, into
     buffers reused from chunk to chunk, so memory does not grow with
     n_val. Both means are sums in draw order carried from chunk to chunk,
@@ -217,7 +179,7 @@ def validate(scenario: HighwayScenario, generator: GeneratorSpec,
         fresh = generate_samples(generator, count, horizon, rng,
                                  out=draws[:count])
         flows = average_flow(profile, propagate(scenario, profile, fresh))
-        simulate_ctm(scenario, profile, fresh, out=states[1:count + 1])
+        simulate_ctm(scenario, profile.u, fresh, out=states[1:count + 1])
         # Both sums add one draw at a time in draw order (cumsum, and a
         # reduction over the leading axis of (draws, n, 3T), which numpy
         # runs row by row), as a loop over the draws would; from the

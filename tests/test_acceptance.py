@@ -17,7 +17,7 @@ from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_lp
 from vslcert.network import SegmentParams, admissible_speeds, critical_density
 from vslcert.sampling import generate_samples, propagate_batch
 from vslcert.search import TERM_ENUMERATED, PrefixTree, run_search
-from vslcert.validation import UNCONTROLLED, simulate_ctm, validate
+from vslcert.validation import simulate_ctm, validate
 
 FIVE_LANE = dict(f_bar=3.1e4, rho_bar=1050.0, u_bar=140.0)
 GRID = (40.0, 60.0, 80.0, 100.0, 120.0)
@@ -221,7 +221,8 @@ def test_congestion_suppressed_on_incident_edge():
     horizon = 60
     fresh = generate_samples(incident_gen, 100, horizon, seed=0)
 
-    free = simulate_ctm(scenario, UNCONTROLLED, fresh).mean(axis=0)
+    free = simulate_ctm(scenario, scenario.uncontrolled_profile(),
+                        fresh).mean(axis=0)
     crossings = np.nonzero(free[3] > threshold)[0]
 
     train = generate_samples(nominal_gen, 3, scenario.T, seed=11)
@@ -229,7 +230,7 @@ def test_congestion_suppressed_on_incident_edge():
     assert report.termination == TERM_ENUMERATED
     assert report.best_u == (120.0, 120.0, 120.0, 80.0, 120.0)
     best, j_star = scenario.speed_profile(report.best_u), report.best_value
-    controlled = simulate_ctm(scenario, best, fresh).mean(axis=0)
+    controlled = simulate_ctm(scenario, best.u, fresh).mean(axis=0)
     level = controlled[3, :scenario.T].mean()
 
     check("congestion suppression",

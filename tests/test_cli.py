@@ -819,11 +819,14 @@ def test_rerun_replaces_stale_outputs(tmp_path, command):
 @pytest.mark.parametrize("command, name", [(c, n) for c in sorted(CALLS)
                                            for n in OUTPUTS[c]])
 def test_directory_at_output_path_is_config_error(tmp_path, capsys, command, name):
+    # A command writes all of its outputs or none: no other output exists
+    # beside the directory, not even one created before it.
     path = tmp_path / name
     (path / "inner").mkdir(parents=True)
     assert _run(command, tmp_path) == 2
     assert f"error: {path}: cannot write file: " in capsys.readouterr().err
     assert (path / "inner").is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 FMT_VALUES = [1.5, 0.1, 1e-300, 2.0 ** 70, -0.0, math.inf, -math.inf, math.nan,

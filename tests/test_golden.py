@@ -10,10 +10,10 @@ every profile on the prefix tree. A change that means to move any of
 them must say so and regenerate them.
 
 ``certificate.average_flow`` computes ``u @ traj``, a BLAS product whose
-summation order may depend on the BLAS build (ROADMAP item 9). Both
-files carry ``mean_objective`` in their header, so the digests hold for
-the BLAS they were taken with: OpenBLAS 0.3.31 under numpy 2.4 on
-x86-64.
+summation order may depend on the BLAS build (ROADMAP, "Summation
+order" under the run-record item). Both files carry ``mean_objective``
+in their header, so the digests hold for the BLAS they were taken with:
+OpenBLAS 0.3.31 under numpy 2.4 on x86-64.
 """
 
 import hashlib

@@ -15,7 +15,7 @@ from vslcert.sampling import (
     propagate_batch,
 )
 from vslcert.search import TERM_ENUMERATED, TERM_TIME, run_search
-from vslcert.validation import exact_optimum
+from vslcert.validation import brute_force_optimum
 
 
 def build_problem(seed, **kw):
@@ -36,11 +36,11 @@ def long_corridor():
     assert validation.profile_count(scenario) > validation.DEFAULT_ENUM_CAP
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(validation, "DEFAULT_ENUM_CAP", 300_000)
-        best, result = exact_optimum(scenario, samples)
+        best, result = brute_force_optimum(scenario, samples)
     return scenario, samples, best, result
 
 
-def test_matches_exact_optimum_past_the_cap(long_corridor):
+def test_matches_brute_force_past_the_cap(long_corridor):
     scenario, samples, best, result = long_corridor
     report = run_search(scenario, samples, time_limit=60.0)
     assert report.termination == TERM_ENUMERATED

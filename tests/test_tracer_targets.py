@@ -4,7 +4,9 @@
 with a timing wrapper through ``getattr`` with no default, and counts
 search rounds from ``SolveReport.iterations``; a refactor that drops one
 of them makes a traced benchmark run raise. The tracer is read as text,
-not imported, so this test never installs it.
+not imported, so this test never installs it. Likewise every name that
+the benchmark's oracle, runner and instance builder import from the
+package still resolves, so that an API cut cannot break the oracle.
 
 Those names in ``vslcert.search`` are the only imports in the package's
 modules that nothing reads: every other imported name is used, so that a
@@ -36,6 +38,29 @@ def test_every_tracer_target_resolves():
     assert targets
     missing = [(module, name) for module, name in targets
                if not hasattr(importlib.import_module(module), name)]
+    assert not missing
+
+
+def benchmark_imports():
+    """(module, name) for every name the benchmark's oracle, runner and
+    instance builder import from the package, at any depth; name is None
+    for a plain ``import vslcert...``."""
+    found = []
+    for script in ("oracle.py", "run.py", "make_desk.py"):
+        for node in ast.walk(ast.parse((ROOT / "perfbench" / script).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("vslcert"):
+                found += [(node.module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                found += [(alias.name, None) for alias in node.names
+                          if alias.name.startswith("vslcert")]
+    return found
+
+
+def test_every_benchmark_import_resolves():
+    imports = benchmark_imports()
+    assert ("vslcert.sampling", "propagate") in imports
+    missing = [(module, name) for module, name in imports
+               if not hasattr(importlib.import_module(module), name or "__name__")]
     assert not missing
 
 

@@ -21,18 +21,13 @@ from vslcert.sampling import (
     VALIDATION_SEED_OFFSET,
     DisturbanceSample,
     GeneratorSpec,
+    SampleSet,
     generate_samples,
     load_generator,
     propagate,
     propagate_batch,
 )
-from vslcert.validation import (
-    UNCONTROLLED,
-    brute_force_optimum,
-    exact_optimum,
-    simulate_ctm,
-    validate,
-)
+from vslcert.validation import brute_force_optimum, simulate_ctm, validate
 
 BENCH_SCENARIOS = Path(__file__).resolve().parent.parent / "perfbench" / "scenarios"
 HIGHWAY = Path(__file__).resolve().parent / "data" / "highway5.json"
@@ -51,22 +46,22 @@ def reference_propagate(sc, prof, sample):
     return out
 
 
-def reference_ctm(sc, u, sample, horizon):
+def reference_ctm(sc, speeds, sample):
     """Per-draw demand/supply simulation with scalar boundary handling
-    (reference); returns the states (n, horizon) and the flows."""
-    n = sc.n
-    speeds = np.array(sc.uncontrolled_profile() if u == UNCONTROLLED
-                      else u.as_array())
+    over every step of the draw (reference); returns the states
+    (n, steps) and the flows."""
+    n, steps = sample.omega.shape
+    speeds = np.array(speeds, dtype=float)
     f_U = np.array([seg.f_U for seg in sc.segments])
     rho_U = np.array([seg.rho_U for seg in sc.segments])
     wave = np.array([wave_ratio(seg) * seg.u_bar for seg in sc.segments])
     h = sc.h
     rho = np.clip(sample.rho0, 0.0, rho_U)
-    out = np.empty((n, horizon))
-    boundary = np.empty(horizon)
-    exit_flow = np.empty(horizon)
-    applied = np.zeros((n, horizon))
-    for t in range(horizon):
+    out = np.empty((n, steps))
+    boundary = np.empty(steps)
+    exit_flow = np.empty(steps)
+    applied = np.zeros((n, steps))
+    for t in range(steps):
         demand = np.minimum(speeds * rho, f_U)
         supply = np.minimum(wave * (rho_U - rho), f_U)
         link = np.minimum(demand[:-1], supply[1:]) if n > 1 else np.empty(0)
@@ -94,7 +89,7 @@ def reference_validate(sc, gen, prof, n_val, seed):
     density = np.zeros((sc.n, horizon))
     for sample in fresh.samples:
         total += average_flow(prof, reference_propagate(sc, prof, sample))
-        density += reference_ctm(sc, prof, sample, horizon)[0]
+        density += reference_ctm(sc, prof.u, sample)[0]
     return total / n_val, density / n_val
 
 
@@ -115,7 +110,7 @@ def test_brute_force_enumerates_and_orders():
     rng = np.random.default_rng(3)
     sc, gen = desk.random_scenario(rng, n=2, T=2, menu_size=2)
     samples = desk.desk_samples(sc, gen, 3, 0)
-    best, value = brute_force_optimum(sc, samples)
+    best, result = brute_force_optimum(sc, samples)
     seen = []
     for combo in itertools.product(*sc.bands):
         prof = sc.speed_profile(combo)
@@ -124,7 +119,7 @@ def test_brute_force_enumerates_and_orders():
             seen.append((res.value, combo))
     assert seen, "instance should have a finite profile"
     top = max(v for v, _ in seen)
-    assert value == pytest.approx(top, rel=1e-12)
+    assert result.value == pytest.approx(top, rel=1e-12)
     assert best.u == min(c for v, c in seen if v == top)
 
 
@@ -132,9 +127,9 @@ def test_brute_force_single_profile():
     rng = np.random.default_rng(5)
     sc, gen = desk.random_scenario(rng, n=1, T=2, menu_size=1)
     samples = desk.desk_samples(sc, gen, 2, 1)
-    best, value = brute_force_optimum(sc, samples)
+    best, result = brute_force_optimum(sc, samples)
     assert best.u == (sc.gamma[0],)
-    assert math.isfinite(value)
+    assert math.isfinite(result.value)
 
 
 def test_brute_force_respects_enumeration_cap(tmp_path, monkeypatch, capsys):
@@ -168,26 +163,30 @@ def test_brute_force_all_sentinel_raises():
         brute_force_optimum(sc, samples)
 
 
-def assert_exact_optimum_is_reference(sc, samples):
-    """The stacked evaluator returns the reference loop's profile, value
-    and certificate, bit for bit."""
-    best, result = exact_optimum(sc, samples)
-    ref_u, ref_value = desk.reference_optimum(sc, samples)
+def assert_brute_force_is_reference(sc, samples):
+    """The exact evaluator returns the reference loop's profile, value
+    and certificate, bit for bit, and raises where the loop does."""
+    try:
+        ref_u, ref_value = desk.reference_optimum(sc, samples)
+    except InfeasibleScenarioError:
+        with pytest.raises(InfeasibleScenarioError):
+            brute_force_optimum(sc, samples)
+        raise
+    best, result = brute_force_optimum(sc, samples)
     assert best == ref_u
     assert result.value == ref_value
     assert result == certificate(sc, ref_u, propagate_batch(sc, ref_u, samples))
 
 
-def test_exact_optimum_matches_reference_loop():
+def test_brute_force_matches_reference_loop():
     compared = 0
     for k in range(40):
         rng = np.random.default_rng(600 + k)
         sc, gen = desk.random_scenario(rng)
         samples = desk.desk_samples(sc, gen, int(rng.integers(1, 4)), k)
         try:
-            assert_exact_optimum_is_reference(sc, samples)
+            assert_brute_force_is_reference(sc, samples)
         except InfeasibleScenarioError:
-            assert exact_optimum(sc, samples) == (None, None)
             continue
         compared += 1
     assert compared >= 30
@@ -210,16 +209,15 @@ def test_menu_values_match_certificate_on_corridor():
         assert value == certificate(sc, prof, propagate_batch(sc, prof, samples)).value
 
 
-def test_exact_optimum_all_sentinel():
+def test_brute_force_all_sentinel_like_the_loop():
     rng = np.random.default_rng(23)
     sc, gen = desk.sentinel_scenario(rng, n=2, T=2)
     samples = desk.desk_samples(sc, gen, 2, 0)
     with pytest.raises(InfeasibleScenarioError):
-        desk.reference_optimum(sc, samples)
-    assert exact_optimum(sc, samples) == (None, None)
+        assert_brute_force_is_reference(sc, samples)
 
 
-def test_exact_optimum_breaks_near_ties_like_the_loop():
+def test_brute_force_breaks_near_ties_like_the_loop():
     # Seed 0 of this benchmark instance has three profiles whose
     # certificate values lie within 1e-12 of each other.
     path = BENCH_SCENARIOS / "desk_9010.json"
@@ -234,7 +232,7 @@ def test_exact_optimum_breaks_near_ties_like_the_loop():
         values.append(certificate(sc, prof, propagate_batch(sc, prof, samples)).value)
     top = max(values)
     assert sum(v >= top - 1e-12 * max(1.0, abs(top)) for v in values) == 3
-    assert_exact_optimum_is_reference(sc, samples)
+    assert_brute_force_is_reference(sc, samples)
 
 
 def test_ctm_stays_at_zero_without_input():
@@ -242,7 +240,7 @@ def test_ctm_stays_at_zero_without_input():
     sc, _ = desk.random_scenario(rng, n=3, T=4)
     prof = sc.speed_profile([b[0] for b in sc.bands])
     sample = DisturbanceSample(np.zeros(sc.n), np.zeros((sc.n, sc.T)))
-    traj = simulate_ctm(sc, prof, sample)
+    traj = simulate_ctm(sc, prof.u, sample)
     assert traj.shape == (sc.n, sc.T)
     assert (traj == 0.0).all()
 
@@ -267,7 +265,7 @@ def test_ctm_matches_linear_model_in_free_flow():
                 caps_ok &= 0.0 <= rho_t[e] <= seg.rho_U
         if not caps_ok:
             continue
-        physical = simulate_ctm(sc, prof, sample)
+        physical = simulate_ctm(sc, prof.u, sample)
         assert np.abs(physical - linear).max() <= 1e-9 * max(
             1.0, np.abs(linear).max())
         matched += 1
@@ -275,11 +273,14 @@ def test_ctm_matches_linear_model_in_free_flow():
 
 
 def test_ctm_conserves_mass():
+    # The mass balance holds for the reference's flows, and the product's
+    # states are the reference's, bit for bit.
     rng = np.random.default_rng(17)
     sc, gen = desk.random_scenario(rng, n=3, T=5)
     sample = desk.desk_samples(sc, gen, 1, 4).samples[0]
     prof = sc.speed_profile([b[-1] for b in sc.bands])
-    traj, flows = simulate_ctm(sc, prof, sample, return_flows=True)
+    traj, flows = reference_ctm(sc, prof.u, sample)
+    assert (simulate_ctm(sc, prof.u, sample) == traj).all()
     h = sc.h
     prev = np.clip(sample.rho0, 0.0,
                    np.array([s.rho_U for s in sc.segments]))
@@ -295,26 +296,23 @@ def test_ctm_respects_density_caps():
     rng = np.random.default_rng(19)
     sc, gen = desk.sentinel_scenario(rng)
     sample = desk.desk_samples(sc, gen, 1, 0).samples[0]
-    traj = simulate_ctm(sc, UNCONTROLLED, sample)
+    traj = simulate_ctm(sc, sc.uncontrolled_profile(), sample)
     rho_U = np.array([s.rho_U for s in sc.segments])[:, None]
     assert (traj >= 0.0).all()
     assert (traj <= rho_U + 1e-12).all()
 
 
 def test_ctm_uncontrolled_uses_top_speeds():
+    # The free-flow speeds lie above every admissible band, and the
+    # simulator runs them as given.
     sc, gen = desk.vi_scenario()
     sample = generate_samples(gen, 1, 5, seed=0).samples[0]
-    free = simulate_ctm(sc, UNCONTROLLED, sample, horizon=5)
     top = sc.uncontrolled_profile()
     assert top == (140.0,) * 5
+    assert all(u > max(band) for u, band in zip(top, sc.bands))
+    free = simulate_ctm(sc, top, sample)
     assert free.shape == (5, 5)
-
-
-def test_ctm_horizon_validation():
-    sc, gen = desk.vi_scenario()
-    sample = generate_samples(gen, 1, 5, seed=0).samples[0]
-    with pytest.raises(ValueError, match="horizon"):
-        simulate_ctm(sc, UNCONTROLLED, sample, horizon=9)
+    assert (free == reference_ctm(sc, top, sample)[0]).all()
 
 
 @pytest.mark.parametrize("n, seed", [(1, 41), (3, 43)])
@@ -325,16 +323,13 @@ def test_ctm_on_sample_set_matches_per_draw_loop(n, seed):
     assert samples.omega.shape == (40, sc.n, 3 * sc.T)
     assert not samples.rho0.flags.writeable and not samples.omega.flags.writeable
     prof = sc.speed_profile([b[-1] for b in sc.bands])
-    for u in (prof, UNCONTROLLED):
-        for horizon in (None, sc.T):
-            traj, flows = simulate_ctm(sc, u, samples, horizon,
-                                       return_flows=True)
-            runs = [reference_ctm(sc, u, s, horizon or 3 * sc.T)
-                    for s in samples.samples]
-            assert traj.shape == (40, sc.n, horizon or 3 * sc.T)
-            assert (traj == np.stack([r[0] for r in runs])).all()
-            for key in ("boundary", "exit", "applied_omega"):
-                assert (flows[key] == np.stack([r[1][key] for r in runs])).all()
+    for speeds in (prof.u, sc.uncontrolled_profile()):
+        for steps in (3 * sc.T, sc.T):
+            part = SampleSet(samples.rho0, samples.omega[..., :steps])
+            traj = simulate_ctm(sc, speeds, part)
+            runs = [reference_ctm(sc, speeds, s)[0] for s in part.samples]
+            assert traj.shape == (40, sc.n, steps)
+            assert (traj == np.stack(runs)).all()
 
 
 @pytest.mark.parametrize("n, n_val, chunk", [
@@ -348,9 +343,9 @@ def test_validate_matches_per_draw_loop(n, n_val, chunk, monkeypatch):
     sc, gen = desk.random_scenario(rng, n=n, T=4)
     sizes = []
 
-    def counted(scenario, u, sample, **kwargs):
+    def counted(scenario, speeds, sample, **kwargs):
         sizes.append(sample.count)
-        return simulate_ctm(scenario, u, sample, **kwargs)
+        return simulate_ctm(scenario, speeds, sample, **kwargs)
 
     monkeypatch.setattr("vslcert.validation.simulate_ctm", counted)
     if chunk is not None:  # a budget of exactly `chunk` draws
