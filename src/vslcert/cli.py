@@ -67,14 +67,20 @@ def _create(path: Path):
     truncating a file that holds data to zero costs several times a fresh
     create (its close likely starts writeback). A symlink at ``path`` is
     replaced, not written through; a directory there fails on the remove.
+    Missing parent directories are created only when the create finds
+    them missing, so a write into an existing directory makes no mkdir
+    call.
     """
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         try:
             path.unlink()
         except FileNotFoundError:
             pass
-        return open(path, "x", newline="")
+        try:
+            return open(path, "x", newline="")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            return open(path, "x", newline="")
     except OSError as exc:
         raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
 

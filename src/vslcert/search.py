@@ -17,8 +17,10 @@ A time limit binds only on menus of more than ``DEFAULT_ENUM_CAP``
 profiles, so the answer on a menu under the cap is the same on every
 machine. Past the cap the walk checks its deadline between chunks; when
 the deadline has passed, the search stops with the best profile found so
-far, if any (termination ``time_limit``), and reports the root's
-capacity-flow bound as its upper bound.
+far, if any (termination ``time_limit``), and reports as its upper bound
+the largest capacity-flow bound among the prefixes it left unexpanded,
+or the incumbent's value if that is larger: a bound that shrinks as the
+walk goes on.
 """
 
 from __future__ import annotations
@@ -281,9 +283,13 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     ``DEFAULT_ENUM_CAP`` profiles: before each chunk the walk reads
     ``time.monotonic()`` against its deadline, and once that has passed
     it stops with the best profile found so far, or none, with
-    termination ``time_limit`` and the root's capacity-flow bound as
-    upper bound. A search that finishes is exact, with termination
-    ``enumerated`` and gap 0. Raises ValueError, before the menu is
+    termination ``time_limit``. Its upper bound is then the largest of
+    the incumbent's value and the bounds of the prefixes left unexpanded:
+    each level of the walk, as it returns, takes the largest bound of the
+    prefixes from the chunk it stopped at on, and the root's is the
+    capacity flow of every cell. Every profile not scored is a completion
+    of one of them, or was pruned below the incumbent. A search that
+    finishes is exact, with termination ``enumerated`` and gap 0. Raises ValueError, before the menu is
     sized, when the samples' edge count is not the scenario's or their
     horizon is shorter than its T.
     """
@@ -316,9 +322,11 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
         value, best = result.value, seed.u
     expanded = pruned = 0
     stopped = False
+    # The largest bound of a prefix a stopped walk left unexpanded.
+    pending = -math.inf
 
     def descend(parents: Prefixes) -> None:
-        nonlocal value, best, result, replaceable, expanded, pruned, stopped
+        nonlocal value, best, result, replaceable, expanded, pruned, stopped, pending
         e = parents.length
         step = max(1, ENUM_CHUNK_ELEMENTS
                    // (len(scenario.bands[e]) * N * (e + 1) * (T + 1)))
@@ -326,6 +334,11 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
             stopped = stopped or (deadline is not None
                                   and time.monotonic() >= deadline)
             if stopped:
+                # The root, and a prefix kept unbounded, are bounded by
+                # the capacity flow of every cell.
+                rest = (tree.tail[0] if parents.bound is None
+                        else parents.bound[i:]).max()
+                pending = max(pending, float(rest))
                 return
             chunk = parents.take(slice(i, i + step))
             cells = n - e if chunk.size * subtree[e] <= BLOCK_ELEMENTS else 1
@@ -359,7 +372,7 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
         best = result = None
     value = result.value if result is not None else -math.inf
     if stopped:
-        upper = float(tree.tail[0].max())
+        upper = max(value, pending)
         gap = (upper - value) / max(1.0, abs(upper))
         termination = TERM_TIME
     else:

@@ -132,9 +132,10 @@ def test_search_matches_enumeration():
 
 
 def test_bound_monotonicity():
-    # A search stopped by its time limit reports the root's capacity-flow
-    # bound as its upper bound; it must hold the optimum, and each prefix's
-    # bound must fall from parent to child.
+    # A search stopped by its time limit before its first chunk reports
+    # the root's capacity-flow bound as its upper bound, and later the
+    # largest bound of a prefix it left unexpanded; the root's must hold
+    # the optimum, and each prefix's bound must fall from parent to child.
     worst = -math.inf
     for scenario, samples, _, j_star in enumerated_desks():
         tree = PrefixTree(scenario, samples)
@@ -222,7 +223,7 @@ def test_congestion_suppressed_on_incident_edge():
     fresh = generate_samples(incident_gen, 100, horizon, seed=0)
 
     free = simulate_ctm(scenario, scenario.uncontrolled_profile(),
-                        fresh).mean(axis=0)
+                        fresh) / fresh.count
     crossings = np.nonzero(free[3] > threshold)[0]
 
     train = generate_samples(nominal_gen, 3, scenario.T, seed=11)
@@ -230,7 +231,7 @@ def test_congestion_suppressed_on_incident_edge():
     assert report.termination == TERM_ENUMERATED
     assert report.best_u == (120.0, 120.0, 120.0, 80.0, 120.0)
     best, j_star = scenario.speed_profile(report.best_u), report.best_value
-    controlled = simulate_ctm(scenario, best.u, fresh).mean(axis=0)
+    controlled = simulate_ctm(scenario, best.u, fresh) / fresh.count
     level = controlled[3, :scenario.T].mean()
 
     check("congestion suppression",

@@ -67,6 +67,32 @@ def test_time_limit_stops_with_best_so_far(long_corridor):
     assert report.gap == (report.upper_bound - own.value) / abs(report.upper_bound)
 
 
+def test_stopped_bound_shrinks_as_the_walk_goes_on(monkeypatch):
+    # The ten-cell corridor (5,859,375 profiles) stopped after k chunks: the
+    # clock reads the start for the first k deadline checks and an hour
+    # later from then on, so no run depends on the machine's speed. The
+    # upper bound lies between the optimum of a full walk and the root's
+    # bound, and falls below the root's once the walk has left the root.
+    cfg = desk.corridor_config(10)
+    scenario = load_scenario(cfg)
+    samples = generate_samples(load_generator(cfg, scenario.n), 3, scenario.T, 100)
+    optimum = run_search(scenario, samples)
+    assert optimum.termination == TERM_ENUMERATED
+    root = search.PrefixTree(scenario, samples).tail[0].max()
+    uppers = []
+    for k in (0, 1, 2, 5, 50):
+        calls = iter(range(k + 1))
+        monkeypatch.setattr("vslcert.search.time.monotonic",
+                            lambda: 0.0 if next(calls, None) is not None else 3600.0)
+        report = run_search(scenario, samples, time_limit=60.0)
+        monkeypatch.undo()
+        assert report.termination == TERM_TIME
+        assert report.best_value <= optimum.best_value <= report.upper_bound <= root
+        uppers.append(report.upper_bound)
+    assert uppers[0] == root
+    assert uppers[-1] < uppers[1] < root
+
+
 def test_small_grid_matches_brute_force(monkeypatch):
     # With the cap at 0 every menu takes the budgeted path; a budget the
     # walk does not reach leaves the answer exact.
@@ -150,7 +176,7 @@ def test_single_candidate_exhausts_in_one_round(monkeypatch):
 
 def test_gap_termination_reports_closed_gap(monkeypatch):
     # A search that finishes reports its gap closed; one stopped by the
-    # budget reports the distance to the root's bound.
+    # budget at once reports the distance to the root's bound.
     monkeypatch.setattr(search, "DEFAULT_ENUM_CAP", 0)
     problem = build_problem(29, n=1, T=2, menu_size=2)
     done = run_search(*problem, time_limit=60.0)

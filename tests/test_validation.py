@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,8 +316,19 @@ def test_ctm_uncontrolled_uses_top_speeds():
     assert (free == reference_ctm(sc, top, sample)[0]).all()
 
 
+def draw_order_sum(arrays):
+    """The sum of arrays added one at a time, first to last (reference)."""
+    total = arrays[0]
+    for a in arrays[1:]:
+        total = total + a
+    return total
+
+
 @pytest.mark.parametrize("n, seed", [(1, 41), (3, 43)])
 def test_ctm_on_sample_set_matches_per_draw_loop(n, seed):
+    # A sample set gives the draw-order sum of the reference's per-draw
+    # states, bit for bit, and so does one split in two, the second half
+    # carried on from the first's sum in ``out``.
     rng = np.random.default_rng(seed)
     sc, gen = desk.random_scenario(rng, n=n, T=3)
     samples = generate_samples(gen, 40, 3 * sc.T, seed=seed)
@@ -326,25 +338,73 @@ def test_ctm_on_sample_set_matches_per_draw_loop(n, seed):
     for speeds in (prof.u, sc.uncontrolled_profile()):
         for steps in (3 * sc.T, sc.T):
             part = SampleSet(samples.rho0, samples.omega[..., :steps])
-            traj = simulate_ctm(sc, speeds, part)
+            total = simulate_ctm(sc, speeds, part)
             runs = [reference_ctm(sc, speeds, s)[0] for s in part.samples]
-            assert traj.shape == (40, sc.n, steps)
-            assert (traj == np.stack(runs)).all()
+            assert total.shape == (sc.n, steps)
+            assert (total == draw_order_sum(runs)).all()
+            head = simulate_ctm(sc, speeds, SampleSet(part.rho0[:13], part.omega[:13]))
+            carried = simulate_ctm(sc, speeds, SampleSet(part.rho0[13:], part.omega[13:]),
+                                   out=head)
+            assert carried is head
+            assert (carried == total).all()
 
 
-@pytest.mark.parametrize("n, n_val, chunk", [
-    pytest.param(1, 7, 3, id="1-7"),       # chunks of 3, 3 and 1 draws
-    pytest.param(3, 300, 60, id="3-300"),  # five full chunks
-    pytest.param(1, 7, None, id="1-7-one-chunk"),
-    pytest.param(3, 300, None, id="3-300-one-chunk"),
+def test_ctm_clamps_signed_zeros_like_the_reference():
+    # np.clip turns -0.0 into 0.0; the product's clamp must too, to the
+    # sign bit, on a draw whose initial densities and disturbances hold
+    # -0.0 among ordinary values. Cell 2 starts jammed, so cell 1's
+    # outflow is a zero supply and a -0.0 kept by a clamp would reach
+    # cell 1's first state.
+    sc, _ = desk.vi_scenario()
+    rho0 = np.array([-0.0, sc.segments[1].rho_U, -0.0, 0.0, 12.0])
+    omega = np.zeros((sc.n, 6))
+    omega[:, ::2] = -0.0
+    omega[0, 1] = 500.0
+    omega[2, 3] = -0.0
+    sample = DisturbanceSample(rho0, omega)
+    states = simulate_ctm(sc, sc.uncontrolled_profile(), sample)
+    reference = reference_ctm(sc, sc.uncontrolled_profile(), sample)[0]
+    assert reference[0, 0] == 0.0
+    assert (states == reference).all()
+    assert (np.signbit(states) == np.signbit(reference)).all()
+
+
+def test_ctm_keeps_no_state_per_draw():
+    # 2,000 corridor draws over 60 steps: a (draws, cells, steps) stack of
+    # states would take 4.8 MB; the running sum needs a few (cells, draws)
+    # buffers.
+    sc, gen = desk.vi_scenario()
+    samples = generate_samples(gen, 2000, 3 * sc.T, seed=0)
+    stack = samples.omega.nbytes
+    assert stack == 2000 * 5 * 60 * 8
+    tracemalloc.start()
+    try:
+        simulate_ctm(sc, sc.uncontrolled_profile(), samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack
+
+
+@pytest.mark.parametrize("n, n_val, chunk, sizes", [
+    pytest.param(1, 7, 3, [2, 2, 3], id="1-7"),
+    pytest.param(1, 10, 4, [3, 3, 4], id="1-10"),
+    pytest.param(1, 7, 1, [1] * 7, id="1-7-one-draw"),
+    pytest.param(3, 300, 60, [60] * 5, id="3-300"),
+    pytest.param(3, 20, 1, [1] * 20, id="3-20-one-draw"),
+    pytest.param(1, 7, None, [7], id="1-7-one-chunk"),
+    pytest.param(3, 300, None, [300], id="3-300-one-chunk"),
 ])
-def test_validate_matches_per_draw_loop(n, n_val, chunk, monkeypatch):
+def test_validate_matches_per_draw_loop(n, n_val, chunk, sizes, monkeypatch):
+    # The draws are split into the fewest chunks of at most ``chunk`` draws,
+    # whose sizes differ by at most one; the means keep the bits of the
+    # per-draw loop however they are split.
     rng = np.random.default_rng(47 + n)
     sc, gen = desk.random_scenario(rng, n=n, T=4)
-    sizes = []
+    counts = []
 
     def counted(scenario, speeds, sample, **kwargs):
-        sizes.append(sample.count)
+        counts.append(sample.count)
         return simulate_ctm(scenario, speeds, sample, **kwargs)
 
     monkeypatch.setattr("vslcert.validation.simulate_ctm", counted)
@@ -353,8 +413,7 @@ def test_validate_matches_per_draw_loop(n, n_val, chunk, monkeypatch):
                             chunk * (n + n * 3 * sc.T))
     prof = sc.speed_profile([b[0] for b in sc.bands])
     report = validate(sc, gen, prof, 0.0, n_val=n_val, seed=3)
-    step = chunk or n_val
-    assert sizes == [step] * (n_val // step) + [n_val % step] * (n_val % step > 0)
+    assert counts == sizes
     mean_objective, mean_density = reference_validate(sc, gen, prof, n_val, 3)
     assert report.mean_objective == mean_objective
     assert (report.mean_density == mean_density).all()
