@@ -89,15 +89,20 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows,
                fh=None) -> Path:
     """Write one output at ``path``, streaming ``rows`` through the buffer,
     into ``fh`` when :func:`_create` has opened it already, else into a
-    new file."""
+    new file. A write that fails (a full disk) removes the file and
+    raises ConfigError naming it, so no partial output is left."""
     if fh is None:
         fh = _create(path)
-    with fh:
-        for key, value in header.items():
-            fh.write(f"# {key}={_fmt(value)}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(_fmt, row)) + "\n")
+    try:
+        with fh:
+            for key, value in header.items():
+                fh.write(f"# {key}={_fmt(value)}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_fmt, row)) + "\n")
+    except OSError as exc:
+        path.unlink(missing_ok=True)
+        raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
     return path
 
 
@@ -236,7 +241,8 @@ def cmd_validate(args) -> int:
         "guarantee": report.guarantee,
     }
     # Both outputs are created before a row is written to either; when the
-    # second cannot be, the first is removed again, so neither is left.
+    # second cannot be created, or either cannot be written, both are
+    # removed again, so neither is left.
     summary_path, density_path = out / "summary.csv", out / "density_mean.csv"
     summary = _create(summary_path)
     try:
@@ -245,23 +251,29 @@ def cmd_validate(args) -> int:
         summary.close()
         summary_path.unlink()
         raise
-    _write_csv(
-        summary_path,
-        header,
-        ["e", "max_mean_density", "critical_density"],
-        zip(range(1, scenario.n + 1), report.max_mean_density.tolist(),
-            report.critical_density.tolist()),
-        summary,
-    )
-    path = _write_csv(
-        density_path,
-        header,
-        ["l", "e", "t", "rho"],
-        ((1, e + 1, t + 1, v)
-         for e, steps in enumerate(report.mean_density.tolist())
-         for t, v in enumerate(steps)),
-        density,
-    )
+    try:
+        _write_csv(
+            summary_path,
+            header,
+            ["e", "max_mean_density", "critical_density"],
+            zip(range(1, scenario.n + 1), report.max_mean_density.tolist(),
+                report.critical_density.tolist()),
+            summary,
+        )
+        path = _write_csv(
+            density_path,
+            header,
+            ["l", "e", "t", "rho"],
+            ((1, e + 1, t + 1, v)
+             for e, steps in enumerate(report.mean_density.tolist())
+             for t, v in enumerate(steps)),
+            density,
+        )
+    except ConfigError:
+        density.close()
+        summary_path.unlink(missing_ok=True)
+        density_path.unlink(missing_ok=True)
+        raise
     print(path)
     return EXIT_OK
 

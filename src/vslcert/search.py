@@ -13,6 +13,18 @@ completion of a prefix and the radius prune the tree, an implicit
 enumeration of the whole menu, so it returns the exact optimum too
 (termination ``enumerated``, gap 0).
 
+A chunk of prefixes is expanded in one of three ways, chosen by size:
+a subtree of at most ``BLOCK_ELEMENTS`` trajectory elements is expanded
+flat, every leaf propagated from its chunk parent
+(:meth:`PrefixTree.children` over all remaining cells); without prune
+tests, every prefix below a chunk whose shared subtree fits
+``ENUM_CHUNK_ELEMENTS``, with its leaves two or more levels down, is
+propagated once, all levels in one time loop
+(:meth:`PrefixTree.leaves`); otherwise one level is expanded
+(:meth:`PrefixTree.children`, one cell). The prune tests need each
+level's bounds before the next is expanded, so ``solve`` never takes
+the second. All three give every value the same bits.
+
 A time limit binds only on menus of more than ``DEFAULT_ENUM_CAP``
 profiles, so the answer on a menu under the cap is the same on every
 machine. Past the cap the walk checks its deadline between chunks; when
@@ -27,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -71,7 +84,10 @@ DEFAULT_ENUM_CAP = 100_000
 # children of one chunk of prefixes at depth 0, and this over e + 1 at
 # depth e: chunks shrink with depth, so that the depth-first walk scores
 # leaves, and raises its incumbent, after fewer expansions. A chunk holds
-# at least one prefix.
+# at least one prefix. Without prune tests, a chunk whose prefixes below
+# (steps 0..T, every level counted once) fit this many elements is
+# expanded to its leaves in one time loop, and its chunk holds as many
+# parents as fit; that expansion adds its sums in slices of an eighth of it.
 ENUM_CHUNK_ELEMENTS = 1 << 18
 
 # A prefix survives while its bound is within this fraction (of the
@@ -80,7 +96,9 @@ ENUM_CHUNK_ELEMENTS = 1 << 18
 # bound's sums never prunes a tie.
 PRUNE_MARGIN = 1e-9
 # Trajectory elements (steps 0..T) up to which a subtree is expanded to its
-# leaves in one level of the branch-and-bound; at most ENUM_CHUNK_ELEMENTS.
+# leaves in one level, flat, with or without prune tests: below this size
+# per-level setup costs more than sharing prefixes saves (every
+# desk-exhaustive menu is at most 720). At most ENUM_CHUNK_ELEMENTS.
 BLOCK_ELEMENTS = 1 << 12
 
 
@@ -146,13 +164,16 @@ class Prefixes(NamedTuple):
 
 class PrefixTree:
     """The admissible prefixes of a menu, expanded a block of cells at a
-    time.
+    time (:meth:`children`), or every level below a chunk at once
+    (:meth:`leaves`).
 
     Cell e's trajectories, cap and flow weight depend only on the prefix
     ``u_1..u_e``, so a child propagates only its own cells, from its
-    parent's outflow, with ``sampling.propagate_cells``, and adds their
-    terms to its parent's running sums: every trajectory and every sum
-    keeps the bits that ``propagate`` and ``certificate`` give it.
+    parent's outflow, with ``sampling.propagate_cells`` or, in
+    :meth:`leaves`, with the same recursion over the prefixes of every
+    level at once, and adds their terms to its parent's running sums:
+    every trajectory and every sum keeps the bits that ``propagate`` and
+    ``certificate`` give it.
 
     The bound of a prefix ending at cell e is
 
@@ -239,6 +260,100 @@ class PrefixTree:
             bound=bound,
         ), F * R
 
+    def leaves(self, parents: Prefixes) -> tuple[Prefixes, int]:
+        """Propagate every cell below parents, each prefix once, and
+        return the whole profiles, unbounded, in product order, and the
+        number of prefixes propagated.
+
+        The prefixes of every level sit on one axis, level after level,
+        each level in product order, and one T-step loop propagates them
+        all: at step t a prefix's inflow is its parent's flow at step t,
+        gathered by parent index; the first level's parents are the
+        given ones (the root has no flow). Their trajectories go into one
+        (prefixes, N, T) array, whose step axis stays contiguous, and
+        each level's sums are added from it in slices, so every value
+        keeps the bits :meth:`children` gives it. Raises ValueError as
+        ``propagate`` does when the trajectories overflow."""
+        sc, samples = self.scenario, self.samples
+        e, T, N, F = parents.length, sc.T, samples.count, parents.size
+        bands = sc.bands[e:]
+        # Prefixes per level, from the parents down to the leaves, and the
+        # row past each level's last, the next level's first: the parents
+        # take rows 0..F-1 of the state, every level below them follows.
+        sizes = list(itertools.accumulate(map(len, bands), operator.mul, initial=F))
+        starts = list(itertools.accumulate(sizes))
+        nodes = starts[-1] - F
+        # Per row its speed, and per prefix its parent's row and its level,
+        # counted from e, whose cell's net inflow it takes.
+        u = np.concatenate([parents.speed[:, -1] if e else np.zeros(1)]
+                           + [np.tile(band, size) for band, size in zip(bands, sizes)])
+        up = np.concatenate([start - size + np.arange(size * len(band)) // len(band)
+                             for band, start, size in zip(bands, starts, sizes)])
+        level = np.repeat(np.arange(len(bands)), sizes[1:])
+        traj = self._propagate_below(parents, u, up, level)
+        # Each level's sums, added to its parents' in slices of at most an
+        # eighth of a chunk's trajectory elements.
+        rows = max(1, (ENUM_CHUNK_ELEMENTS >> 3) // (N * (T + 1)))
+        partial, dist = parents.partial, parents.dist
+        for band, caps, start, size in zip(bands, self.band_caps[e:], starts, sizes):
+            R = len(band)
+            kids = traj[start - F:start - F + size * R].reshape(size, R, N, 1, T)
+            a, cap = np.array(band)[:, None] / T, np.array(caps)[:, None, None]
+            kid_partial, kid_dist = np.empty((size, R, len(self.lams))), np.empty((size, R))
+            step = max(1, rows // R)
+            for i in range(0, size, step):
+                part = slice(i, i + step)
+                kid_partial[part], kid_dist[part] = add_cells(
+                    partial[part, None], dist[part, None], self.lams, a, cap, kids[part])
+            partial, dist = kid_partial.reshape(size * R, -1), kid_dist.ravel()
+        # The leaves' speeds, read up their chains of parents.
+        row, cols = np.arange(starts[-2], starts[-1]), []
+        for _ in bands:
+            cols.append(u[row])
+            row = up[row - F]
+        return Prefixes(
+            speed=np.concatenate((parents.speed[row], np.stack(cols[::-1], axis=1)), axis=1),
+            traj=None, dist=dist, partial=partial, bound=None,
+        ), nodes
+
+    def _propagate_below(self, parents: Prefixes, u: np.ndarray, up: np.ndarray,
+                         level: np.ndarray) -> np.ndarray:
+        """The trajectories (prefixes, N, T) of the prefixes below parents
+        in :meth:`leaves`' layout, from the speed u of every row, parents
+        first, and the parent's row up and level of every prefix."""
+        sc, samples = self.scenario, self.samples
+        e, T, N, F = parents.length, sc.T, samples.count, parents.size
+        nodes = len(up)
+        # Every operand is a contiguous (rows, N) array and each gather a
+        # flat take: an operand broadcast along the short draw axis costs
+        # many times more.
+        draw = np.arange(N)
+        parent, cell = ((rows[:, None] * N + draw).ravel() for rows in (up, level))
+        speed = np.repeat(u, N).reshape(F + nodes, N)
+        # (T, cells x N): the net inflows of the cells below e, step-major.
+        omega = samples.omega[:, e:, :T].transpose(2, 1, 0).reshape(T, -1)
+        rho = np.empty((F + nodes, N))
+        rho[:F] = samples.rho0[:, e - 1] if e else 0.0
+        rho[F:] = samples.rho0[:, e:].T[level]
+        flow, inflow, net = np.empty_like(rho), np.empty((nodes, N)), np.empty((nodes, N))
+        traj = np.empty((nodes, N, T))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The recursion of sampling.propagate_cells, one operation at a
+            # time: rho + h * (inflow - flow + omega).
+            for t in range(T):
+                np.multiply(speed, rho, out=flow)
+                np.take(flow.ravel(), parent, out=inflow.ravel())
+                inflow -= flow[F:]
+                np.take(omega[t], cell, out=net.ravel())
+                inflow += net
+                inflow *= sc.h
+                rho[F:] += inflow
+                traj[..., t] = rho[F:]
+                if e and t + 1 < T:
+                    rho[:F] = parents.traj[..., t]
+        check_bounded(sc, traj, self.u_max)
+        return traj
+
     def values(self, leaves: Prefixes) -> tuple[np.ndarray, np.ndarray]:
         """The dual objective (F, L) of whole profiles at every scale of
         lams, and their certified values (F,): its maximum over each
@@ -269,7 +384,13 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A chunk whose
     whole subtree holds at most ``BLOCK_ELEMENTS`` trajectory elements is
     expanded to its leaves in one level instead: at that size numpy's
-    per-call cost outweighs what sharing prefixes and pruning save.
+    per-call cost outweighs what sharing prefixes and pruning save. With
+    prune False, a chunk whose prefixes below, each counted once, fit
+    ``ENUM_CHUNK_ELEMENTS``, with its leaves two or more levels down, is
+    expanded by :meth:`PrefixTree.leaves`, every level in one time loop,
+    and holds as many parents as fit; on the paper's corridor that is
+    the whole tree in one loop. Such a walk's cost is its count of time
+    loops more than its count of nodes.
 
     With prune True, unless the root is such a chunk, the incumbent
     starts at the profile of each band's top speed, the last in product
@@ -330,6 +451,17 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
         e = parents.length
         step = max(1, ENUM_CHUNK_ELEMENTS
                    // (len(scenario.bands[e]) * N * (e + 1) * (T + 1)))
+        # Without prune tests, when the leaves are more than one level down
+        # and every prefix below one parent fits a chunk, in trajectory
+        # elements (steps 0..T), a chunk holds as many parents as fit and
+        # is expanded to its leaves in one loop.
+        deep = False
+        if not prune and n - e > 1 and parents.size * subtree[e] > BLOCK_ELEMENTS:
+            below = sum(itertools.accumulate(map(len, scenario.bands[e:]),
+                                             operator.mul)) * N * (T + 1)
+            deep = below <= ENUM_CHUNK_ELEMENTS
+            if deep:
+                step = ENUM_CHUNK_ELEMENTS // below
         for i in range(0, parents.size, step):
             stopped = stopped or (deadline is not None
                                   and time.monotonic() >= deadline)
@@ -341,7 +473,8 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
                 pending = max(pending, float(rest))
                 return
             chunk = parents.take(slice(i, i + step))
-            cells = n - e if chunk.size * subtree[e] <= BLOCK_ELEMENTS else 1
+            flat = chunk.size * subtree[e] <= BLOCK_ELEMENTS
+            cells = n - e if flat or deep else 1
             leaves = e + cells == n
             if not prune or (value == -math.inf and leaves):
                 # Without an incumbent only the radius prunes, and at the
@@ -351,7 +484,10 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
                 floor = -math.inf
             else:
                 floor = value - PRUNE_MARGIN * max(1.0, abs(value))
-            kids, propagated = tree.children(chunk, floor, reach, cells)
+            if deep and not flat:
+                kids, propagated = tree.leaves(chunk)
+            else:
+                kids, propagated = tree.children(chunk, floor, reach, cells)
             expanded += propagated
             pruned += propagated - kids.size
             if not kids.size:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import itertools
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 import desk
 import oracles
 import vslcert
+from vslcert import cli
 from vslcert.cli import _fmt, _write_csv, build_parser, main
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import load_scenario, read_config
@@ -827,6 +829,42 @@ def test_directory_at_output_path_is_config_error(tmp_path, capsys, command, nam
     assert f"error: {path}: cannot write file: " in capsys.readouterr().err
     assert (path / "inner").is_dir()
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+class FullDisk:
+    """A file opened for writing whose every write fails as on a full
+    disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        self.fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c in sorted(CALLS)
+                                           for n in OUTPUTS[c]])
+def test_failed_write_exits_2_and_leaves_no_output(tmp_path, capsys, monkeypatch,
+                                                   command, name):
+    # The write fails after the file is created; the command removes what
+    # it created, every output of it, and exits 2 naming the file.
+    create = cli._create
+    monkeypatch.setattr(cli, "_create", lambda path: (
+        FullDisk(create(path)) if path.name == name else create(path)))
+    assert _run(command, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"error: {tmp_path / name}: cannot write file: {os.strerror(errno.ENOSPC)}" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 FMT_VALUES = [1.5, 0.1, 1e-300, 2.0 ** 70, -0.0, math.inf, -math.inf, math.nan,

@@ -1,12 +1,17 @@
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import desk
 from vslcert import search, validation
 from vslcert.certificate import certificate
+from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import load_scenario
 from vslcert.sampling import (
     SampleSet,
@@ -225,3 +230,150 @@ def test_search_problem_validates_shapes():
         run_search(sc, shorter)
     with pytest.raises(ValueError, match="epsilon"):
         dataclasses.replace(sc, epsilon=-0.5)
+
+
+def corridor_samples(cfg, count, seed):
+    scenario = load_scenario(cfg)
+    return scenario, generate_samples(load_generator(cfg, scenario.n), count,
+                                      scenario.T, seed)
+
+
+def expansion_sizes(scenario, samples, flat=True):
+    """(ENUM_CHUNK_ELEMENTS, BLOCK_ELEMENTS) that force each expansion of
+    the unpruned walk: one level at a time (chunks of one prefix, whose
+    prefixes below never fit), every level below the root in one time
+    loop, one level and then every level below each child in one loop
+    (the root's prefixes below, each counted once, just do not fit), and,
+    if flat, the whole tree flat, in one level."""
+    nodes = sum(itertools.accumulate(map(len, scenario.bands), lambda a, b: a * b))
+    below_root = nodes * samples.count * (scenario.T + 1)
+    sizes = {"level": (1, 0), "root": (1 << 62, 0), "level-then-loop": (below_root - 1, 0)}
+    if flat:
+        sizes["flat"] = (1 << 62, 1 << 62)
+    return sizes
+
+
+def walk_with(scenario, samples, chunk, block):
+    """brute_force_optimum under the sizes (chunk, block), the report of
+    its walk, and the method and depth of each expansion the walk made."""
+    calls, reports = [], []
+    children, leaves = search.PrefixTree.children, search.PrefixTree.leaves
+
+    def record(method, name):
+        def wrapped(tree, parents, *args, **kwargs):
+            calls.append((name, parents.length))
+            return method(tree, parents, *args, **kwargs)
+        return wrapped
+
+    def walk(*args, **kwargs):
+        reports.append(run_search(*args, **kwargs))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "ENUM_CHUNK_ELEMENTS", chunk)
+        patch.setattr(search, "BLOCK_ELEMENTS", block)
+        patch.setattr(search.PrefixTree, "children", record(children, "children"))
+        patch.setattr(search.PrefixTree, "leaves", record(leaves, "leaves"))
+        patch.setattr(validation, "run_search", walk)
+        try:
+            optimum = brute_force_optimum(scenario, samples)
+        except InfeasibleScenarioError:
+            optimum = None
+    return optimum, reports[0], calls
+
+
+def assert_walks_score_like_one_level(scenario, samples, flat=True):
+    """Every leaf's value from one loop below the root, and under every
+    expansion the winner, its value and the tree's scan table, are those
+    of the per-leaf values of the one-level walk."""
+    values = desk.leaf_values(scenario, samples)
+    tree = search.PrefixTree(scenario, samples)
+    leaves, _ = tree.leaves(tree.root())
+    assert tree.values(leaves)[1].tobytes() == values.tobytes()
+    k = int(values.argmax())
+    paths = {}
+    for case, (chunk, block) in expansion_sizes(scenario, samples, flat).items():
+        optimum, report, paths[case] = walk_with(scenario, samples, chunk, block)
+        if values[k] == -math.inf:
+            assert optimum is None and report.best_u is None, case
+            continue
+        best = scenario.speed_profile(next(itertools.islice(
+            itertools.product(*scenario.bands), k, None)))
+        own = certificate(scenario, best, propagate_batch(scenario, best, samples))
+        assert optimum == (best, own), case
+        assert report.best_u == best.u, case
+        assert report.best_value == values[k] == own.value, case
+        assert report.certificate == own, case
+    return paths
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_every_expansion_scores_like_one_level_on_random_desks(seed, count, sentinel):
+    rng = np.random.default_rng(seed)
+    make = desk.sentinel_scenario if sentinel else desk.random_scenario
+    scenario, gen = make(rng)
+    assert_walks_score_like_one_level(
+        scenario, desk.desk_samples(scenario, gen, count, seed))
+
+
+@pytest.mark.parametrize("count", [3, 30])
+def test_every_expansion_scores_like_one_level_on_corridor(count):
+    # 9,375 profiles. The whole tree flat holds every leaf's six cells at
+    # once, about 1 GB at 30 draws, so that case runs at 3 draws only.
+    scenario, samples = corridor_samples(desk.corridor_config(6), count, 100)
+    paths = assert_walks_score_like_one_level(scenario, samples, flat=count == 3)
+    # Depth first, one prefix per chunk: one expansion per internal node.
+    assert sorted(paths["level"]) == [
+        ("children", e) for e in range(scenario.n)
+        for _ in range(math.prod(map(len, scenario.bands[:e])))]
+    assert paths["root"] == [("leaves", 0)]
+    assert paths["level-then-loop"] == [("children", 0), ("leaves", 1)]
+    assert paths.get("flat", [("children", 0)]) == [("children", 0)]
+
+
+def test_unpruned_corridor_walk_is_one_time_loop(monkeypatch):
+    # The paper's corridor: every prefix below the root fits one chunk, so
+    # the walk propagates its 2,405 prefixes in one loop and makes no
+    # one-level expansion (which ran seven loops).
+    scenario, samples = corridor_samples(desk.corridor_config(5), 3, 0)
+    calls = {"leaves": 0, "propagate_cells": 0}
+
+    def counted(name, function):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(search.PrefixTree, "leaves",
+                        counted("leaves", search.PrefixTree.leaves))
+    monkeypatch.setattr(search, "propagate_cells",
+                        counted("propagate_cells", search.propagate_cells))
+    for _ in range(2):
+        report = run_search(scenario, samples, prune=False)
+        assert report.nodes_expanded == 2405
+    assert calls == {"leaves": 2, "propagate_cells": 0}
+
+
+def traced_peak(function, *args):
+    """The peak of memory traced while function runs, after one warm-up
+    call."""
+    function(*args)
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cells, seed, bound", [
+    # The paper's corridor (corridor_config(5) is data/highway5.json): one
+    # (2,405, N, T) trajectory array; 1.84 MiB at one level per loop.
+    pytest.param(5, 0, 2.2 * 2**20, id="corridor"),
+    # 46,875 profiles: 10% above the 2.37 MiB the one-level walk takes.
+    pytest.param(7, 100, 1.1 * 2.37 * 2**20, id="seven-cells"),
+])
+def test_brute_force_memory_is_bounded(cells, seed, bound):
+    scenario, samples = corridor_samples(desk.corridor_config(cells), 3, seed)
+    assert traced_peak(brute_force_optimum, scenario, samples) <= bound
