@@ -4,13 +4,14 @@ Five subcommands: simulate (linear propagation under a given profile),
 certify (closed-form certificate for a profile), solve (certified
 search by branch-and-bound, exact unless a time limit stops it past the
 enumeration cap), brute-force (every profile scored, the check on
-solve), validate (fresh-sample out-of-sample check). Every
-output is a CSV with "# key=value" comment lines followed by a
-column-name row, written as a new file that replaces whatever was at its
-path; all randomness flows through the --seed flag and the
-seed is recorded in the headers, so reruns are bit-identical except for
-wall times and for a budgeted search past the cap that stops on its
-time limit.
+solve), validate (fresh-sample out-of-sample check). Every output is a
+CSV with "# key=value" comment lines followed by a column-name row,
+written by ``_write_csv`` as a new file that replaces whatever was at
+its path. A command writes all of its outputs or none: validate writes
+its two in turn and removes the first when the second fails. All
+randomness flows through the --seed flag and the seed is recorded in
+the headers, so reruns are bit-identical except for wall times and for
+a budgeted search past the cap that stops on its time limit.
 
 Exit codes: 0 success, 2 bad configuration or arguments, 3 infeasible
 scenario (or no feasible profile found).
@@ -61,7 +62,8 @@ def _fmt(value) -> str:
 
 
 def _create(path: Path):
-    """A new file opened for writing at ``path``.
+    """A new file opened for writing at ``path``; only :func:`_write_csv`
+    calls it.
 
     A file already at ``path`` is removed first, not truncated: on ext4,
     truncating a file that holds data to zero costs several times a fresh
@@ -72,10 +74,7 @@ def _create(path: Path):
     call.
     """
     try:
-        try:
-            path.unlink()
-        except FileNotFoundError:
-            pass
+        path.unlink(missing_ok=True)
         try:
             return open(path, "x", newline="")
         except FileNotFoundError:
@@ -85,14 +84,13 @@ def _create(path: Path):
         raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
 
 
-def _write_csv(path: Path, header: dict, columns: list[str], rows,
-               fh=None) -> Path:
-    """Write one output at ``path``, streaming ``rows`` through the buffer,
-    into ``fh`` when :func:`_create` has opened it already, else into a
-    new file. A write that fails (a full disk) removes the file and
-    raises ConfigError naming it, so no partial output is left."""
-    if fh is None:
-        fh = _create(path)
+def _write_csv(path: Path, header: dict, columns: list[str], rows) -> Path:
+    """Write one output as a new file at ``path``, streaming ``rows``
+    through the buffer. Every output is created here. A file that cannot
+    be created or written (a directory at ``path``, a full disk) raises
+    ConfigError naming it, and a partly written file is removed first,
+    so no partial output is left."""
+    fh = _create(path)
     try:
         with fh:
             for key, value in header.items():
@@ -104,6 +102,14 @@ def _write_csv(path: Path, header: dict, columns: list[str], rows,
         path.unlink(missing_ok=True)
         raise ConfigError(str(path), f"cannot write file: {exc.strerror}") from exc
     return path
+
+
+def _density_rows(rho):
+    """The 1-based ``l,e,t,rho`` rows of a (draws, cells, steps) stack."""
+    return ((l + 1, e + 1, t + 1, v)
+            for l, draw in enumerate(rho)
+            for e, steps in enumerate(draw.tolist())
+            for t, v in enumerate(steps))
 
 
 def _load_config(args):
@@ -145,10 +151,7 @@ def cmd_simulate(args) -> int:
         Path(args.out) / "trajectories.csv",
         {"command": "simulate", "u": _speeds_header(profile), **source},
         ["l", "e", "t", "rho"],
-        ((l + 1, e + 1, t + 1, v)
-         for l, draw in enumerate(batch.rho)
-         for e, steps in enumerate(draw.tolist())
-         for t, v in enumerate(steps)),
+        _density_rows(batch.rho),
     )
     print(path)
     return EXIT_OK
@@ -240,39 +243,19 @@ def cmd_validate(args) -> int:
         "mean_objective": report.mean_objective,
         "guarantee": report.guarantee,
     }
-    # Both outputs are created before a row is written to either; when the
-    # second cannot be created, or either cannot be written, both are
-    # removed again, so neither is left.
-    summary_path, density_path = out / "summary.csv", out / "density_mean.csv"
-    summary = _create(summary_path)
+    summary = _write_csv(
+        out / "summary.csv",
+        header,
+        ["e", "max_mean_density", "critical_density"],
+        zip(range(1, scenario.n + 1), report.max_mean_density.tolist(),
+            report.critical_density.tolist()),
+    )
     try:
-        density = _create(density_path)
+        path = _write_csv(out / "density_mean.csv", header, ["l", "e", "t", "rho"],
+                          _density_rows(report.mean_density[None]))
     except ConfigError:
-        summary.close()
-        summary_path.unlink()
-        raise
-    try:
-        _write_csv(
-            summary_path,
-            header,
-            ["e", "max_mean_density", "critical_density"],
-            zip(range(1, scenario.n + 1), report.max_mean_density.tolist(),
-                report.critical_density.tolist()),
-            summary,
-        )
-        path = _write_csv(
-            density_path,
-            header,
-            ["l", "e", "t", "rho"],
-            ((1, e + 1, t + 1, v)
-             for e, steps in enumerate(report.mean_density.tolist())
-             for t, v in enumerate(steps)),
-            density,
-        )
-    except ConfigError:
-        density.close()
-        summary_path.unlink(missing_ok=True)
-        density_path.unlink(missing_ok=True)
+        # A command writes all of its outputs or none.
+        summary.unlink()
         raise
     print(path)
     return EXIT_OK

@@ -410,9 +410,9 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     prefixes from the chunk it stopped at on, and the root's is the
     capacity flow of every cell. Every profile not scored is a completion
     of one of them, or was pruned below the incumbent. A search that
-    finishes is exact, with termination ``enumerated`` and gap 0. Raises ValueError, before the menu is
-    sized, when the samples' edge count is not the scenario's or their
-    horizon is shorter than its T.
+    finishes is exact, with termination ``enumerated`` and gap 0. Raises
+    ValueError, before the menu is sized, when the samples' edge count is
+    not the scenario's or their horizon is shorter than its T.
     """
     if samples.n != scenario.n:
         raise ValueError("sample edge count does not match scenario")

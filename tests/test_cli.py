@@ -867,6 +867,39 @@ def test_failed_write_exits_2_and_leaves_no_output(tmp_path, capsys, monkeypatch
     assert not list(tmp_path.iterdir())
 
 
+def test_every_output_is_created_inside_write_csv(tmp_path, monkeypatch):
+    # One write path: each output is created by a _write_csv call of its
+    # own, so a span around _write_csv covers every output's creation.
+    writes, creates, inside = [], [], []
+    write_csv, create = cli._write_csv, cli._create
+
+    def traced_write_csv(path, *args):
+        writes.append(path.name)
+        inside.append(path.name)
+        try:
+            return write_csv(path, *args)
+        finally:
+            inside.pop()
+
+    def traced_create(path):
+        creates.append((path.name, inside == [path.name]))
+        return create(path)
+
+    monkeypatch.setattr(cli, "_write_csv", traced_write_csv)
+    monkeypatch.setattr(cli, "_create", traced_create)
+    speeds = ["--speeds", "120,120,120,80,120"]
+    for command, extra in (("simulate", speeds), ("certify", speeds), ("solve", []),
+                           ("brute-force", []),
+                           ("validate", [*speeds, "--jhat", "1e5", "--nval", "20"])):
+        writes.clear()
+        creates.clear()
+        out = tmp_path / command
+        assert main([command, "--scenario", HIGHWAY, "--out", str(out), *extra]) == 0
+        assert writes == OUTPUTS[command]
+        assert creates == [(name, True) for name in OUTPUTS[command]]
+        assert sorted(p.name for p in out.iterdir()) == sorted(OUTPUTS[command])
+
+
 FMT_VALUES = [1.5, 0.1, 1e-300, 2.0 ** 70, -0.0, math.inf, -math.inf, math.nan,
               np.float64(0.1), np.float64(-0.0), np.float32(0.1), np.float32(np.inf),
               0, -7, 10 ** 30, np.int64(-3), np.int32(5), True, False,
