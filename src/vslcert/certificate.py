@@ -32,8 +32,15 @@ the search's prefix tree (``search.PrefixTree``) carries ``partial`` and
 profile with :func:`dual_totals`. :func:`certificate` runs the same two
 functions on one profile. Each sum runs in an order that does not depend
 on what the profile is stacked with: the step sum over a contiguous row,
-the draw and cell sums as cumulative sums. So a profile has the same
-value bits in ``certify``, ``brute-force`` and ``solve``.
+the draw and cell sums as cumulative sums. The unpruned walk
+(``PrefixTree.leaves``) keeps no trajectories: it adds the same terms
+(:func:`box_terms`) into lanes as it propagates, in the order in which
+numpy's float64 sum adds a contiguous row (:class:`PairwiseSum`), and
+then adds its step sums with :func:`add_sums`, as :func:`add_cells`
+does. ``tests/test_certificate.py`` pins that order against numpy's for
+every T from 1 to 300 and names the numpy version when it moves. So a
+profile has the same value bits in ``certify``, ``brute-force`` and
+``solve``.
 """
 
 from __future__ import annotations
@@ -77,6 +84,101 @@ def average_flow(profile: SpeedProfile, traj: np.ndarray):
     return float(flow) if flow.ndim == 0 else flow
 
 
+def box_terms(rho: np.ndarray, caps, out: np.ndarray) -> np.ndarray:
+    """Each density's anchor ``clip(rho, 0, caps)``, the nearest point of
+    the box, into out[0], and its box distance ``|anchor - rho|`` into
+    out[1]; returns out (2, ...)."""
+    anchor, gap = out
+    np.maximum(rho, 0.0, out=anchor)
+    np.minimum(anchor, caps, out=anchor)
+    np.subtract(anchor, rho, out=gap)
+    np.abs(gap, out=gap)
+    return out
+
+
+class PairwiseSum:
+    """A sum over T steps, fed one step at a time, added in the order in
+    which numpy's float64 ``x.sum(axis=-1)`` adds a contiguous row x of T
+    steps (pairwise summation; Higham 1993), so that it has its bits:
+
+    - a row of fewer than 8 steps is added in order, from zero;
+    - a row of up to 128 steps is added in 8 lanes (steps j, j + 8, ...),
+      joined by the tree ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``,
+      and the steps past the last multiple of 8 are added in order;
+    - a longer row of n steps is split after ``n2 = n // 2 - (n // 2) % 8``
+      steps, each part is summed in the same way, and the two are added.
+
+    The reduction starts from zero, so the sum is added to zero at the
+    end, which turns -0.0 into 0.0. Per step, write the terms into
+    :meth:`slot`, then call :meth:`add`; after T steps :meth:`total`
+    returns the sums.
+    """
+
+    def __init__(self, steps: int, shape: tuple):
+        self.tree = self._split(steps)
+        self.blocks = iter(self._lengths(self.tree))
+        self.lanes = np.empty((8, *shape)) if steps >= 8 else None
+        self.scratch = np.empty(shape)
+        self.done = []
+        self._start()
+
+    @classmethod
+    def _split(cls, n: int):
+        """numpy's split of a row of n steps: n itself when it is summed
+        in one block, else the pair of the two parts' splits."""
+        if n <= 128:
+            return n
+        half = n // 2 - (n // 2) % 8
+        return cls._split(half), cls._split(n - half)
+
+    @classmethod
+    def _lengths(cls, tree):
+        """The blocks' lengths, in step order."""
+        if isinstance(tree, int):
+            return [tree]
+        return cls._lengths(tree[0]) + cls._lengths(tree[1])
+
+    def _start(self) -> None:
+        self.n, self.i = next(self.blocks, 0), 0
+        self.res = np.zeros_like(self.scratch) if 0 < self.n < 8 else None
+
+    def slot(self) -> np.ndarray:
+        """The array to write the next step's terms into."""
+        return self.lanes[self.i] if self.i < 8 <= self.n else self.scratch
+
+    def add(self) -> None:
+        """Add the terms written into :meth:`slot`."""
+        i, n = self.i, self.n
+        full = n - n % 8
+        if i >= full:
+            self.res += self.scratch
+        elif i >= 8:
+            self.lanes[i % 8] += self.scratch
+        if i + 1 == full:
+            # The tree, in place: r0 + r1, r2 + r3, ..., then their pairs.
+            lanes = self.lanes
+            lanes[0::2] += lanes[1::2]
+            lanes[0::4] += lanes[2::4]
+            self.res = lanes[0] + lanes[4]
+        self.i += 1
+        if self.i == n:
+            self.done.append(self.res)
+            self._start()
+
+    def total(self) -> np.ndarray:
+        """The sums, once every step is added."""
+        total = self._fold(self.tree, iter(self.done))
+        total += 0.0
+        return total
+
+    @classmethod
+    def _fold(cls, tree, parts):
+        """The sum of the blocks' sums parts, added as tree splits them."""
+        if isinstance(tree, int):
+            return next(parts)
+        return cls._fold(tree[0], parts) + cls._fold(tree[1], parts)
+
+
 def add_cells(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,
               a: np.ndarray, caps, traj: np.ndarray):
     """Add c cells, in cell order, to running sums: partial (..., L) at
@@ -85,19 +187,27 @@ def add_cells(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,
     traj (..., N, c, T) holds N draws of the cells over T steps, caps
     their critical densities, broadcasting against (..., N, c), and a
     (..., c) their flow weights. Each cell's anchor mass and box distance
-    are summed over the steps, then over the draws in draw order, then
-    divided by N; dist is inf past the float range.
+    are summed over the steps by numpy, then added by :func:`add_sums`.
     """
-    # The anchors and their distances, stacked so that one call sums both.
-    anchor, gap = terms = np.empty((2,) + traj.shape)
-    np.maximum(traj, 0.0, out=anchor)
-    np.minimum(anchor, np.asarray(caps)[..., None], out=anchor)
-    np.subtract(anchor, traj, out=gap)
-    np.abs(gap, out=gap)
+    terms = box_terms(traj, np.asarray(caps)[..., None], np.empty((2,) + traj.shape))
+    with np.errstate(over="ignore"):
+        sums = terms.sum(axis=-1)
+    return add_sums(partial, dist, lams, a, sums)
+
+
+def add_sums(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,
+             a: np.ndarray, sums: np.ndarray):
+    """Add c cells, in cell order, to running sums: partial (..., L) at
+    the scales lams (L,), and dist (...), from sums (2, ..., N, c): each
+    cell's anchor mass and box distance in N draws, summed over the
+    steps, and a (..., c) the cells' flow weights. The sums are added
+    over the draws in draw order, then divided by N; dist is inf past
+    the float range.
+    """
     with np.errstate(over="ignore"):
         # Cumulative sums add one draw, and below one cell, at a time,
         # whatever the layout.
-        mass, cell_dist = terms.sum(axis=-1).cumsum(axis=-2)[..., -1, :] / traj.shape[-3]
+        mass, cell_dist = sums.cumsum(axis=-2)[..., -1, :] / sums.shape[-2]
         terms = np.minimum(lams, a[..., None]) * mass[..., None]
         terms[..., 0, :] += partial
         cell_dist[..., 0] += dist

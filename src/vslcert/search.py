@@ -20,7 +20,8 @@ flat, every leaf propagated from its chunk parent
 tests, every prefix below a chunk whose shared subtree fits
 ``ENUM_CHUNK_ELEMENTS``, with its leaves two or more levels down, is
 propagated once, all levels in one time loop
-(:meth:`PrefixTree.leaves`); otherwise one level is expanded
+(:meth:`PrefixTree.leaves`), which adds every prefix's step sums as it
+propagates and keeps no trajectory; otherwise one level is expanded
 (:meth:`PrefixTree.children`, one cell). The prune tests need each
 level's bounds before the next is expanded, so ``solve`` never takes
 the second. All three give every value the same bits.
@@ -49,7 +50,10 @@ import numpy as np
 
 from .certificate import (
     CertificateResult,
+    PairwiseSum,
     add_cells,
+    add_sums,
+    box_terms,
     certificate,
     dual_totals,
     scan_result,
@@ -87,7 +91,7 @@ DEFAULT_ENUM_CAP = 100_000
 # at least one prefix. Without prune tests, a chunk whose prefixes below
 # (steps 0..T, every level counted once) fit this many elements is
 # expanded to its leaves in one time loop, and its chunk holds as many
-# parents as fit; that expansion adds its sums in slices of an eighth of it.
+# parents as fit.
 ENUM_CHUNK_ELEMENTS = 1 << 18
 
 # A prefix survives while its bound is within this fraction (of the
@@ -173,7 +177,8 @@ class PrefixTree:
     :meth:`leaves`, with the same recursion over the prefixes of every
     level at once, and adds their terms to its parent's running sums:
     every trajectory and every sum keeps the bits that ``propagate`` and
-    ``certificate`` give it.
+    ``certificate`` give it, the step sums of :meth:`leaves` too, which
+    are added in numpy's order as the loop runs.
 
     The bound of a prefix ending at cell e is
 
@@ -267,13 +272,18 @@ class PrefixTree:
 
         The prefixes of every level sit on one axis, level after level,
         each level in product order, and one T-step loop propagates them
-        all: at step t a prefix's inflow is its parent's flow at step t,
-        gathered by parent index; the first level's parents are the
-        given ones (the root has no flow). Their trajectories go into one
-        (prefixes, N, T) array, whose step axis stays contiguous, and
-        each level's sums are added from it in slices, so every value
-        keeps the bits :meth:`children` gives it. Raises ValueError as
-        ``propagate`` does when the trajectories overflow."""
+        all (:meth:`_propagate_below`): at step t a prefix's inflow is
+        its parent's flow at step t, gathered by parent index; the first
+        level's parents are the given ones (the root has no flow). The
+        loop keeps no trajectory: it adds each step's anchors and box
+        distances to every prefix's step sums as it goes, in the order of
+        numpy's float64 sum over a row of steps
+        (:class:`certificate.PairwiseSum`). Each level's step sums are
+        then added to its parents' running sums by
+        :func:`certificate.add_sums`, so every value keeps the bits
+        :meth:`children` gives it. Raises ValueError as ``propagate``
+        does when the trajectories overflow, which it reads from each
+        state's running largest and smallest value."""
         sc, samples = self.scenario, self.samples
         e, T, N, F = parents.length, sc.T, samples.count, parents.size
         bands = sc.bands[e:]
@@ -283,29 +293,25 @@ class PrefixTree:
         sizes = list(itertools.accumulate(map(len, bands), operator.mul, initial=F))
         starts = list(itertools.accumulate(sizes))
         nodes = starts[-1] - F
-        # Per row its speed, and per prefix its parent's row and its level,
-        # counted from e, whose cell's net inflow it takes.
+        # Per row its speed, and per prefix its parent's row, its level,
+        # counted from e, whose cell's net inflow it takes, and its speed's
+        # critical density.
         u = np.concatenate([parents.speed[:, -1] if e else np.zeros(1)]
                            + [np.tile(band, size) for band, size in zip(bands, sizes)])
         up = np.concatenate([start - size + np.arange(size * len(band)) // len(band)
                              for band, start, size in zip(bands, starts, sizes)])
         level = np.repeat(np.arange(len(bands)), sizes[1:])
-        traj = self._propagate_below(parents, u, up, level)
-        # Each level's sums, added to its parents' in slices of at most an
-        # eighth of a chunk's trajectory elements.
-        rows = max(1, (ENUM_CHUNK_ELEMENTS >> 3) // (N * (T + 1)))
+        cap = np.concatenate([np.tile(caps, size)
+                              for caps, size in zip(self.band_caps[e:], sizes)])
+        sums = self._propagate_below(parents, u, cap, up, level)
+        # Each level's step sums, added to its parents' running sums.
         partial, dist = parents.partial, parents.dist
-        for band, caps, start, size in zip(bands, self.band_caps[e:], starts, sizes):
+        for band, start, size in zip(bands, starts, sizes):
             R = len(band)
-            kids = traj[start - F:start - F + size * R].reshape(size, R, N, 1, T)
-            a, cap = np.array(band)[:, None] / T, np.array(caps)[:, None, None]
-            kid_partial, kid_dist = np.empty((size, R, len(self.lams))), np.empty((size, R))
-            step = max(1, rows // R)
-            for i in range(0, size, step):
-                part = slice(i, i + step)
-                kid_partial[part], kid_dist[part] = add_cells(
-                    partial[part, None], dist[part, None], self.lams, a, cap, kids[part])
-            partial, dist = kid_partial.reshape(size * R, -1), kid_dist.ravel()
+            kids = sums[:, start - F:start - F + size * R].reshape(2, size, R, N, 1)
+            partial, dist = add_sums(partial[:, None], dist[:, None], self.lams,
+                                     np.array(band)[:, None] / T, kids)
+            partial, dist = partial.reshape(size * R, -1), dist.ravel()
         # The leaves' speeds, read up their chains of parents.
         row, cols = np.arange(starts[-2], starts[-1]), []
         for _ in bands:
@@ -316,11 +322,15 @@ class PrefixTree:
             traj=None, dist=dist, partial=partial, bound=None,
         ), nodes
 
-    def _propagate_below(self, parents: Prefixes, u: np.ndarray, up: np.ndarray,
-                         level: np.ndarray) -> np.ndarray:
-        """The trajectories (prefixes, N, T) of the prefixes below parents
-        in :meth:`leaves`' layout, from the speed u of every row, parents
-        first, and the parent's row up and level of every prefix."""
+    def _propagate_below(self, parents: Prefixes, u: np.ndarray, cap: np.ndarray,
+                         up: np.ndarray, level: np.ndarray) -> np.ndarray:
+        """The step sums (2, prefixes, N) of the anchor masses and box
+        distances of the prefixes below parents in :meth:`leaves`' layout,
+        from the speed u of every row, parents first, and the critical
+        density cap, the parent's row up and the level of every prefix.
+        Each step's terms are added as soon as they are computed, and
+        ``check_bounded`` reads each state's largest and smallest value
+        over the steps, as it reads a whole trajectory."""
         sc, samples = self.scenario, self.samples
         e, T, N, F = parents.length, sc.T, samples.count, parents.size
         nodes = len(up)
@@ -330,13 +340,18 @@ class PrefixTree:
         draw = np.arange(N)
         parent, cell = ((rows[:, None] * N + draw).ravel() for rows in (up, level))
         speed = np.repeat(u, N).reshape(F + nodes, N)
+        cap = np.repeat(cap, N).reshape(nodes, N)
         # (T, cells x N): the net inflows of the cells below e, step-major.
         omega = samples.omega[:, e:, :T].transpose(2, 1, 0).reshape(T, -1)
         rho = np.empty((F + nodes, N))
         rho[:F] = samples.rho0[:, e - 1] if e else 0.0
         rho[F:] = samples.rho0[:, e:].T[level]
+        state = rho[F:]
         flow, inflow, net = np.empty_like(rho), np.empty((nodes, N)), np.empty((nodes, N))
-        traj = np.empty((nodes, N, T))
+        sums = PairwiseSum(T, (2, nodes, N))
+        # The largest and the smallest state of each prefix and draw.
+        peak = np.empty((2, nodes, N))
+        peak[0], peak[1] = -math.inf, math.inf
         with np.errstate(over="ignore", invalid="ignore"):
             # The recursion of sampling.propagate_cells, one operation at a
             # time: rho + h * (inflow - flow + omega).
@@ -347,12 +362,17 @@ class PrefixTree:
                 np.take(omega[t], cell, out=net.ravel())
                 inflow += net
                 inflow *= sc.h
-                rho[F:] += inflow
-                traj[..., t] = rho[F:]
+                state += inflow
+                # The terms add_cells sums, added in numpy's order.
+                box_terms(state, cap, sums.slot())
+                sums.add()
+                np.maximum(peak[0], state, out=peak[0])
+                np.minimum(peak[1], state, out=peak[1])
                 if e and t + 1 < T:
                     rho[:F] = parents.traj[..., t]
-        check_bounded(sc, traj, self.u_max)
-        return traj
+            total = sums.total()
+        check_bounded(sc, peak, self.u_max)
+        return total
 
     def values(self, leaves: Prefixes) -> tuple[np.ndarray, np.ndarray]:
         """The dual objective (F, L) of whole profiles at every scale of
@@ -389,8 +409,9 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     ``ENUM_CHUNK_ELEMENTS``, with its leaves two or more levels down, is
     expanded by :meth:`PrefixTree.leaves`, every level in one time loop,
     and holds as many parents as fit; on the paper's corridor that is
-    the whole tree in one loop. Such a walk's cost is its count of time
-    loops more than its count of nodes.
+    the whole tree in one loop. That loop adds every prefix's step sums
+    as it propagates, in numpy's order, and stores no trajectory. Such a
+    walk's cost is its count of time loops more than its count of nodes.
 
     With prune True, unless the root is such a chunk, the incumbent
     starts at the profile of each band's top speed, the last in product

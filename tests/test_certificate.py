@@ -12,7 +12,10 @@ from oracles import box_distance, component_min
 from vslcert.certificate import (
     STATUS_EMPTY,
     STATUS_FINITE,
+    PairwiseSum,
+    add_cells,
     average_flow,
+    box_terms,
     certificate,
     flow_weights,
 )
@@ -234,3 +237,35 @@ def test_menu_values_closed_form_matches_component_sums(menu):
             for lam in np.concatenate(([0.0], a))
         )
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_walk_step_sum_keeps_numpys_pairwise_order():
+    # The unpruned walk adds each step's terms as it propagates
+    # (PairwiseSum); add_cells sums whole rows with numpy. Both give every
+    # value's bits, so both must add a row as numpy's float64 sum does:
+    # in order below 8 steps, in 8 lanes, a fixed tree and the tail up to
+    # 128, split in two past that. Rows hold exact and negative zeros and
+    # magnitudes from 1e-3 to 1e5; the cap of 10 gives both anchors and
+    # box distances.
+    rng = np.random.default_rng(0)
+    rows = 1000
+    for T in range(1, 301):
+        x = 10.0 ** rng.uniform(-3.0, 5.0, size=(rows, T))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[0] = -0.0
+        x[1, ::3] = -0.0
+        terms = box_terms(x, 10.0, np.empty((2, rows, T)))
+        walk = []
+        for rowset in (x, terms):
+            acc = PairwiseSum(T, rowset.shape[:-1])
+            for t in range(T):
+                acc.slot()[...] = rowset[..., t]
+                acc.add()
+            walk.append(acc.total())
+        # At one draw and flow weight 1 the running sums are the step sums.
+        partial, dist = add_cells(np.zeros((rows, 1)), np.zeros(rows), np.ones(1),
+                                  np.ones(1), 10.0, x[:, None, None, :])
+        order = f"{T} steps are not added in numpy {np.__version__}'s order"
+        assert walk[0].tobytes() == x.sum(axis=-1).tobytes(), order
+        assert walk[1].tobytes() == terms.sum(axis=-1).tobytes(), order
+        assert walk[1].tobytes() == np.stack((partial[:, 0], dist)).tobytes(), order

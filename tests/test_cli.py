@@ -964,10 +964,12 @@ def sample_files(draw):
                  for head, rows in (("l,e,rho0", rho0), ("l,e,t,omega", omega)))
 
 
-def clean_files(count, horizon, end="\n"):
-    """A well-formed desk2 sample pair of ``count`` draws of ``horizon`` steps."""
-    rho0 = [f"{l},{e},1.0" for l in range(1, count + 1) for e in (1, 2)]
-    omega = [f"{l},{e},{t},0.5" for l in range(1, count + 1) for e in (1, 2)
+def clean_files(count, horizon, end="\n", cells=2):
+    """A well-formed sample pair of ``count`` draws of ``horizon`` steps
+    over ``cells`` cells (desk2's two by default)."""
+    edges = range(1, cells + 1)
+    rho0 = [f"{l},{e},1.0" for l in range(1, count + 1) for e in edges]
+    omega = [f"{l},{e},{t},0.5" for l in range(1, count + 1) for e in edges
              for t in range(horizon)]
     return tuple(end.join([head] + rows) + end
                  for head, rows in (("l,e,rho0", rho0), ("l,e,t,omega", omega)))
@@ -988,6 +990,22 @@ def test_overflowing_sample_file_names_its_prefix(tmp_path, capsys):
         assert main(args) == 2, args[0]
         err = capsys.readouterr().err
         assert f"error: {prefix}: " in err and "overflow" in err, err
+    assert not out.exists()
+
+
+def test_overflowing_sample_file_names_its_prefix_in_one_loop(tmp_path, capsys):
+    # The corridor's brute-force walk propagates every prefix in one time
+    # loop, which keeps only each state's running extremes; they must find
+    # the overflow of every omega entry at 1e308.
+    rho0, omega = clean_files(2, 20, cells=5)
+    prefix = tmp_path / "s"
+    (tmp_path / "s_rho0.csv").write_text(rho0)
+    (tmp_path / "s_omega.csv").write_text(omega.replace(",0.5\n", ",1e308\n"))
+    out = tmp_path / "out"
+    assert main(["brute-force", "--scenario", HIGHWAY, "--samples", str(prefix),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {prefix}: " in err and "overflow" in err, err
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import desk
 from vslcert import search, validation
 from vslcert.certificate import certificate
-from vslcert.errors import InfeasibleScenarioError
+from vslcert.errors import DisturbanceOverflowError, InfeasibleScenarioError
 from vslcert.network import load_scenario
 from vslcert.sampling import (
     SampleSet,
@@ -332,6 +332,30 @@ def test_every_expansion_scores_like_one_level_on_corridor(count):
     assert paths.get("flat", [("children", 0)]) == [("children", 0)]
 
 
+@pytest.mark.parametrize("T, count", [(7, 3), (8, 1), (9, 2), (129, 3), (200, 2)])
+def test_every_expansion_scores_like_one_level_on_long_horizons(T, count):
+    # One time loop adds each prefix's step sums in numpy's pairwise order
+    # as it propagates: in order below 8 steps, in 8 lanes and a tail up
+    # to 128, in two such blocks past that. The paper's corridor with the
+    # speeds 80, 100 and 120 (81 profiles) over T steps.
+    cfg = desk.corridor_config(5)
+    cfg["T"], cfg["gamma"] = T, [80, 100, 120]
+    scenario, samples = corridor_samples(cfg, count, 100)
+    assert_walks_score_like_one_level(scenario, samples)
+
+
+@pytest.mark.parametrize("omega", [1e306, 1e308])
+def test_overflowing_one_loop_walk_raises(omega):
+    # The one-loop walk keeps no trajectory, only each state's running
+    # extremes: they must still find states whose flows leave the float
+    # range (1e306) and states that overflow to inf and then nan (1e308).
+    scenario, samples = corridor_samples(desk.corridor_config(5), 2, 0)
+    blast = SampleSet(samples.rho0, np.full_like(samples.omega, omega))
+    tree = search.PrefixTree(scenario, blast)
+    with pytest.raises(DisturbanceOverflowError, match="overflow"):
+        tree.leaves(tree.root())
+
+
 def test_unpruned_corridor_walk_is_one_time_loop(monkeypatch):
     # The paper's corridor: every prefix below the root fits one chunk, so
     # the walk propagates its 2,405 prefixes in one loop and makes no
@@ -369,7 +393,8 @@ def traced_peak(function, *args):
 
 @pytest.mark.parametrize("cells, seed, bound", [
     # The paper's corridor (corridor_config(5) is data/highway5.json): one
-    # (2,405, N, T) trajectory array; 1.84 MiB at one level per loop.
+    # loop over its 2,405 prefixes, whose step sums take eight (2, 2,405, N)
+    # lanes; 1.84 MiB at one level per loop.
     pytest.param(5, 0, 2.2 * 2**20, id="corridor"),
     # 46,875 profiles: 10% above the 2.37 MiB the one-level walk takes.
     pytest.param(7, 100, 1.1 * 2.37 * 2**20, id="seven-cells"),
