@@ -305,20 +305,27 @@ def propagate_batch(
 def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:
     """Write ``<prefix>_rho0.csv`` (l, e, rho0) and ``<prefix>_omega.csv``
     (l, e, t, omega); indices are 1-based for l and e, 0-based for t.
-    Lines end in LF, as in every CSV the commands write."""
+    Lines end in LF, as in every CSV the commands write. It writes the
+    pair or nothing: when a write fails, the files this call wrote, a
+    half-written one included, are removed before the OSError is raised,
+    so no half pair is left to be read with a stale partner."""
     prefix = Path(prefix)
     rho0_path = prefix.with_name(prefix.name + "_rho0.csv")
     omega_path = prefix.with_name(prefix.name + "_omega.csv")
-    with open(rho0_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["l", "e", "rho0"])
-        w.writerows([l + 1, e + 1, repr(float(v))]
-                    for (l, e), v in np.ndenumerate(samples.rho0))
-    with open(omega_path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["l", "e", "t", "omega"])
-        w.writerows([l + 1, e + 1, t, repr(float(v))]
-                    for (l, e, t), v in np.ndenumerate(samples.omega))
+    written = []
+    try:
+        for path, columns, values in ((rho0_path, ["l", "e", "rho0"], samples.rho0),
+                                      (omega_path, ["l", "e", "t", "omega"], samples.omega)):
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(columns)
+                w.writerows([l + 1, e + 1, *t, repr(float(v))]
+                            for (l, e, *t), v in np.ndenumerate(values))
+    except OSError:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     return rho0_path, omega_path
 
 

@@ -3,15 +3,16 @@
 Cell e's trajectories, cap and flow weight depend only on the prefix
 ``u_1..u_e``, and so do its terms of the certificate's per-cell sums.
 So one depth-first walk of a prefix tree (:class:`PrefixTree`, one cell
-per level, each child propagated from its parent's outflow) scores every
-profile with the value ``certificate`` gives it, bit for bit, from its
-running sums. :func:`run_search` is that walk. Without prune tests it
-scores every leaf: ``validation.brute_force_optimum``, which
-``brute-force`` runs. With them (``solve``) it is a prefix-shared
-branch-and-bound (Land & Doig 1960): a capacity-flow bound on every
-completion of a prefix and the radius prune the tree, an implicit
-enumeration of the whole menu, so it returns the exact optimum too
-(termination ``enumerated``, gap 0).
+per level) scores every profile with the value ``certificate`` gives it,
+bit for bit, from its running sums; its children read of it only its
+hand-off, the outflow of its last cell (:class:`Prefixes`).
+:func:`run_search` is that walk. Without prune tests it scores every
+leaf: ``validation.brute_force_optimum``, which ``brute-force`` runs.
+With them (``solve``) it is a prefix-shared branch-and-bound (Land &
+Doig 1960): a capacity-flow bound on every completion of a prefix,
+derived from its running sums, and the radius prune the tree, an
+implicit enumeration of the whole menu, so it returns the exact optimum
+too (termination ``enumerated``, gap 0).
 
 A chunk of prefixes is expanded in one of three ways, chosen by size:
 a subtree of at most ``BLOCK_ELEMENTS`` trajectory elements is expanded
@@ -136,20 +137,20 @@ class SolveReport:
 class Prefixes(NamedTuple):
     """F prefixes ``u_1..u_e`` of admissible profiles, in product order.
 
-    speed (F, e) holds their speeds and traj (F, N, T) the densities of
-    their last cell at steps 1..T, from which the next cell is propagated
-    (None for the root and for whole profiles). dist (F,) is their partial
-    box distance and partial (F, L) the running sum over their cells of
-    ``min(lam, a_k) * mass_k`` at each scale of ``PrefixTree.lams``, both
-    as :func:`certificate.add_cells` carries them; bound (F,) is the
-    capacity-flow bound on their completions, None when not measured.
+    speed (F, e) holds their speeds and outflow (F, N, T) their hand-off:
+    the outflow ``u_e * rho_e(t)`` of their last cell at steps 0..T-1,
+    the upstream inflow of the cell after it. The root's is zero, since
+    the first cell has no upstream neighbour, and a whole profile's is
+    None. dist (F,) is their partial box distance and partial (F, L) the
+    running sum over their cells of ``min(lam, a_k) * mass_k`` at each
+    scale of ``PrefixTree.lams``, both as :func:`certificate.add_cells`
+    carries them. Their bound is derived (:meth:`PrefixTree.bound`).
     """
 
     speed: np.ndarray
-    traj: np.ndarray | None
+    outflow: np.ndarray | None
     dist: np.ndarray
     partial: np.ndarray
-    bound: np.ndarray | None
 
     @property
     def length(self) -> int:
@@ -163,7 +164,7 @@ class Prefixes(NamedTuple):
 
     def take(self, rows) -> "Prefixes":
         """The prefixes at rows."""
-        return Prefixes(*(None if field is None else field[rows] for field in self))
+        return Prefixes(*(field[rows] for field in self))
 
 
 class PrefixTree:
@@ -173,14 +174,14 @@ class PrefixTree:
 
     Cell e's trajectories, cap and flow weight depend only on the prefix
     ``u_1..u_e``, so a child propagates only its own cells, from its
-    parent's outflow, with ``sampling.propagate_cells`` or, in
+    parent's hand-off, with ``sampling.propagate_cells`` or, in
     :meth:`leaves`, with the same recursion over the prefixes of every
     level at once, and adds their terms to its parent's running sums:
     every trajectory and every sum keeps the bits that ``propagate`` and
     ``certificate`` give it, the step sums of :meth:`leaves` too, which
     are added in numpy's order as the loop runs.
 
-    The bound of a prefix ending at cell e is
+    The bound of a prefix ending at cell e (:meth:`bound`) is
 
         max over lam in lams of  sum_{k<=e} min(lam, a_k) * mass_k
                                  + sum_{k>e} cf_k(lam),
@@ -217,17 +218,23 @@ class PrefixTree:
         return np.cumsum([np.zeros(len(self.lams))] + flow_cap[::-1], axis=0)[::-1]
 
     def root(self) -> Prefixes:
-        """The empty prefix."""
-        return Prefixes(speed=np.empty((1, 0)), traj=None, dist=np.zeros(1),
-                        partial=np.zeros((1, len(self.lams))), bound=None)
+        """The empty prefix, whose hand-off is zero."""
+        return Prefixes(speed=np.empty((1, 0)),
+                        outflow=np.zeros((1, self.samples.count, self.scenario.T)),
+                        dist=np.zeros(1), partial=np.zeros((1, len(self.lams))))
+
+    def bound(self, prefixes: Prefixes) -> np.ndarray:
+        """(F,): the capacity-flow bound on the completions of prefixes."""
+        return (prefixes.partial + self.tail[prefixes.length]).max(axis=-1)
 
     def children(self, parents: Prefixes, floor: float | None = -math.inf,
                  reach: float = math.inf, cells: int = 1) -> tuple[Prefixes, int]:
         """Propagate the next ``cells`` cells under every combination of
-        their bands' speeds for every parent; return the children whose
-        bound is at least floor and whose partial distance is at most
-        reach, in product order, and the number of children propagated.
-        With floor None every child is kept, unbounded. Raises ValueError
+        their bands' speeds for every parent, from its hand-off; return
+        the children whose bound is at least floor and whose partial
+        distance is at most reach, in product order, each with its own
+        hand-off unless it is a whole profile, and the number of children
+        propagated. With floor None every child is kept. Raises ValueError
         as ``propagate`` does when the trajectories overflow."""
         sc, samples = self.scenario, self.samples
         e, T, N = parents.length, sc.T, samples.count
@@ -237,45 +244,40 @@ class PrefixTree:
         speed = np.array(list(itertools.product(*sc.bands[block])))
         cap = np.array(list(itertools.product(*self.band_caps[block])))
         R = len(speed)
-        upstream = None
-        if e:
-            # (F, 1, N, T): the parents' outflow at steps 0..T-1, as the
-            # recursion computes it.
-            last = np.empty((F, N, T))
-            last[..., 0] = samples.rho0[:, e - 1]
-            last[..., 1:] = parents.traj[..., :-1]
-            upstream = (parents.speed[:, -1, None, None] * last)[:, None]
         # (F, R, N, cells, T): parents, combinations, draws, cells, steps.
         traj = propagate_cells(sc.h, T, speed[:, None], samples.rho0[:, block],
-                               samples.omega[:, block], upstream).reshape(F, R, N, cells, T)
+                               samples.omega[:, block],
+                               parents.outflow[:, None]).reshape(F, R, N, cells, T)
         check_bounded(sc, traj, self.u_max)
         partial, dist = add_cells(parents.partial[:, None], parents.dist[:, None],
                                   self.lams, speed / T, cap[:, None], traj)
-        rows, bound = slice(None), None
+        # Every child; only the kept ones get a hand-off, built below.
+        kids = Prefixes(speed=np.column_stack((np.repeat(parents.speed, R, axis=0),
+                                               np.tile(speed, (F, 1)))),
+                        outflow=None, dist=dist.ravel(), partial=partial.reshape(F * R, -1))
+        rows = slice(None)
         if floor is not None:
-            bound = (partial + self.tail[e + cells]).max(axis=2).ravel()
-            rows = np.flatnonzero((bound >= floor) & (dist.ravel() <= reach))
-            bound = bound[rows]
-        up, combo = np.divmod(np.arange(F * R)[rows], R)
-        whole = e + cells == sc.n
-        return Prefixes(
-            speed=np.concatenate((parents.speed[up], speed[combo]), axis=1),
-            traj=None if whole else traj[..., -1, :].reshape(F * R, N, T)[rows],
-            dist=dist.ravel()[rows], partial=partial.reshape(F * R, -1)[rows],
-            bound=bound,
-        ), F * R
+            rows = np.flatnonzero((self.bound(kids) >= floor) & (kids.dist <= reach))
+        speed, outflow = kids.speed[rows], None
+        if e + cells < sc.n:
+            # The kept children's hand-off.
+            outflow = np.empty((len(speed), N, T))
+            outflow[..., 0] = samples.rho0[:, e + cells - 1]
+            outflow[..., 1:] = traj.reshape(F * R, N, cells, T)[rows, :, -1, :-1]
+            outflow *= speed[:, -1, None, None]
+        return Prefixes(speed, outflow, kids.dist[rows], kids.partial[rows]), F * R
 
     def leaves(self, parents: Prefixes) -> tuple[Prefixes, int]:
         """Propagate every cell below parents, each prefix once, and
-        return the whole profiles, unbounded, in product order, and the
-        number of prefixes propagated.
+        return the whole profiles, in product order, and the number of
+        prefixes propagated.
 
         The prefixes of every level sit on one axis, level after level,
         each level in product order, and one T-step loop propagates them
         all (:meth:`_propagate_below`): at step t a prefix's inflow is
         its parent's flow at step t, gathered by parent index; the first
-        level's parents are the given ones (the root has no flow). The
-        loop keeps no trajectory: it adds each step's anchors and box
+        level's parents are the given ones, whose flow is their hand-off.
+        The loop keeps no trajectory: it adds each step's anchors and box
         distances to every prefix's step sums as it goes, in the order of
         numpy's float64 sum over a row of steps
         (:class:`certificate.PairwiseSum`). Each level's step sums are
@@ -293,44 +295,38 @@ class PrefixTree:
         sizes = list(itertools.accumulate(map(len, bands), operator.mul, initial=F))
         starts = list(itertools.accumulate(sizes))
         nodes = starts[-1] - F
-        # Per row its speed, and per prefix its parent's row, its level,
-        # counted from e, whose cell's net inflow it takes, and its speed's
-        # critical density.
-        u = np.concatenate([parents.speed[:, -1] if e else np.zeros(1)]
-                           + [np.tile(band, size) for band, size in zip(bands, sizes)])
+        # Per prefix its speed, its parent's row, its level, counted from
+        # e, whose cell's net inflow it takes, and its speed's critical
+        # density.
+        u = np.concatenate([np.tile(band, size) for band, size in zip(bands, sizes)])
         up = np.concatenate([start - size + np.arange(size * len(band)) // len(band)
                              for band, start, size in zip(bands, starts, sizes)])
         level = np.repeat(np.arange(len(bands)), sizes[1:])
         cap = np.concatenate([np.tile(caps, size)
                               for caps, size in zip(self.band_caps[e:], sizes)])
         sums = self._propagate_below(parents, u, cap, up, level)
-        # Each level's step sums, added to its parents' running sums.
-        partial, dist = parents.partial, parents.dist
+        # Each level's step sums, added to its parents' running sums, and
+        # its speeds, appended to its parents'.
+        speed, partial, dist = parents.speed, parents.partial, parents.dist
         for band, start, size in zip(bands, starts, sizes):
             R = len(band)
             kids = sums[:, start - F:start - F + size * R].reshape(2, size, R, N, 1)
             partial, dist = add_sums(partial[:, None], dist[:, None], self.lams,
                                      np.array(band)[:, None] / T, kids)
             partial, dist = partial.reshape(size * R, -1), dist.ravel()
-        # The leaves' speeds, read up their chains of parents.
-        row, cols = np.arange(starts[-2], starts[-1]), []
-        for _ in bands:
-            cols.append(u[row])
-            row = up[row - F]
-        return Prefixes(
-            speed=np.concatenate((parents.speed[row], np.stack(cols[::-1], axis=1)), axis=1),
-            traj=None, dist=dist, partial=partial, bound=None,
-        ), nodes
+            speed = np.column_stack((np.repeat(speed, R, axis=0), np.tile(band, size)))
+        return Prefixes(speed=speed, outflow=None, dist=dist, partial=partial), nodes
 
     def _propagate_below(self, parents: Prefixes, u: np.ndarray, cap: np.ndarray,
                          up: np.ndarray, level: np.ndarray) -> np.ndarray:
         """The step sums (2, prefixes, N) of the anchor masses and box
         distances of the prefixes below parents in :meth:`leaves`' layout,
-        from the speed u of every row, parents first, and the critical
-        density cap, the parent's row up and the level of every prefix.
-        Each step's terms are added as soon as they are computed, and
-        ``check_bounded`` reads each state's largest and smallest value
-        over the steps, as it reads a whole trajectory."""
+        from the speed u, the critical density cap, the parent's row up
+        and the level of every prefix; rows 0..F-1 are the parents, whose
+        flow at step t is their hand-off's. Each step's terms are added as
+        soon as they are computed, and ``check_bounded`` reads each
+        state's largest and smallest value over the steps, as it reads a
+        whole trajectory."""
         sc, samples = self.scenario, self.samples
         e, T, N, F = parents.length, sc.T, samples.count, parents.size
         nodes = len(up)
@@ -339,15 +335,13 @@ class PrefixTree:
         # many times more.
         draw = np.arange(N)
         parent, cell = ((rows[:, None] * N + draw).ravel() for rows in (up, level))
-        speed = np.repeat(u, N).reshape(F + nodes, N)
+        speed = np.repeat(u, N).reshape(nodes, N)
         cap = np.repeat(cap, N).reshape(nodes, N)
         # (T, cells x N): the net inflows of the cells below e, step-major.
         omega = samples.omega[:, e:, :T].transpose(2, 1, 0).reshape(T, -1)
-        rho = np.empty((F + nodes, N))
-        rho[:F] = samples.rho0[:, e - 1] if e else 0.0
-        rho[F:] = samples.rho0[:, e:].T[level]
-        state = rho[F:]
-        flow, inflow, net = np.empty_like(rho), np.empty((nodes, N)), np.empty((nodes, N))
+        state = np.ascontiguousarray(samples.rho0[:, e:].T[level])
+        # The flow of every row, the parents' first, and every prefix's inflow.
+        flow, inflow, net = np.empty((F + nodes, N)), np.empty((nodes, N)), np.empty((nodes, N))
         sums = PairwiseSum(T, (2, nodes, N))
         # The largest and the smallest state of each prefix and draw.
         peak = np.empty((2, nodes, N))
@@ -356,7 +350,8 @@ class PrefixTree:
             # The recursion of sampling.propagate_cells, one operation at a
             # time: rho + h * (inflow - flow + omega).
             for t in range(T):
-                np.multiply(speed, rho, out=flow)
+                flow[:F] = parents.outflow[..., t]
+                np.multiply(speed, state, out=flow[F:])
                 np.take(flow.ravel(), parent, out=inflow.ravel())
                 inflow -= flow[F:]
                 np.take(omega[t], cell, out=net.ravel())
@@ -368,8 +363,6 @@ class PrefixTree:
                 sums.add()
                 np.maximum(peak[0], state, out=peak[0])
                 np.minimum(peak[1], state, out=peak[1])
-                if e and t + 1 < T:
-                    rho[:F] = parents.traj[..., t]
             total = sums.total()
         check_bounded(sc, peak, self.u_max)
         return total
@@ -400,18 +393,20 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     search with no profile (``best_u`` None) means every profile has an
     empty ambiguity set.
 
-    The tree is walked one cell per level, in chunks of at most
-    ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A chunk whose
-    whole subtree holds at most ``BLOCK_ELEMENTS`` trajectory elements is
-    expanded to its leaves in one level instead: at that size numpy's
-    per-call cost outweighs what sharing prefixes and pruning save. With
-    prune False, a chunk whose prefixes below, each counted once, fit
-    ``ENUM_CHUNK_ELEMENTS``, with its leaves two or more levels down, is
-    expanded by :meth:`PrefixTree.leaves`, every level in one time loop,
-    and holds as many parents as fit; on the paper's corridor that is
-    the whole tree in one loop. That loop adds every prefix's step sums
-    as it propagates, in numpy's order, and stores no trajectory. Such a
-    walk's cost is its count of time loops more than its count of nodes.
+    A child is propagated from its parent's hand-off (:class:`Prefixes`)
+    in every expansion. The tree is walked one cell per level, in chunks
+    of at most ``ENUM_CHUNK_ELEMENTS`` trajectory elements per level. A
+    chunk whose whole subtree holds at most ``BLOCK_ELEMENTS`` trajectory
+    elements is expanded to its leaves in one level instead: at that size
+    numpy's per-call cost outweighs what sharing prefixes and pruning
+    save. With prune False, a chunk whose prefixes below, each counted
+    once, fit ``ENUM_CHUNK_ELEMENTS``, with its leaves two or more levels
+    down, is expanded by :meth:`PrefixTree.leaves`, every level in one
+    time loop, and holds as many parents as fit; on the paper's corridor
+    that is the whole tree in one loop. That loop adds every prefix's step
+    sums as it propagates, in numpy's order, and stores no trajectory.
+    Such a walk's cost is its count of time loops more than its count of
+    nodes.
 
     With prune True, unless the root is such a chunk, the incumbent
     starts at the profile of each band's top speed, the last in product
@@ -426,14 +421,15 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
     ``time.monotonic()`` against its deadline, and once that has passed
     it stops with the best profile found so far, or none, with
     termination ``time_limit``. Its upper bound is then the largest of
-    the incumbent's value and the bounds of the prefixes left unexpanded:
-    each level of the walk, as it returns, takes the largest bound of the
-    prefixes from the chunk it stopped at on, and the root's is the
-    capacity flow of every cell. Every profile not scored is a completion
-    of one of them, or was pruned below the incumbent. A search that
-    finishes is exact, with termination ``enumerated`` and gap 0. Raises
-    ValueError, before the menu is sized, when the samples' edge count is
-    not the scenario's or their horizon is shorter than its T.
+    the incumbent's value and the bounds of the prefixes left unexpanded
+    (:meth:`PrefixTree.bound`, from their running sums): each level of
+    the walk, as it returns, takes the largest bound of the prefixes from
+    the chunk it stopped at on, and the root's is the capacity flow of
+    every cell. Every profile not scored is a completion of one of them,
+    or was pruned below the incumbent. A search that finishes is exact,
+    with termination ``enumerated`` and gap 0. Raises ValueError, before
+    the menu is sized, when the samples' edge count is not the scenario's
+    or their horizon is shorter than its T.
     """
     if samples.n != scenario.n:
         raise ValueError("sample edge count does not match scenario")
@@ -487,11 +483,7 @@ def run_search(scenario: HighwayScenario, samples: SampleSet,
             stopped = stopped or (deadline is not None
                                   and time.monotonic() >= deadline)
             if stopped:
-                # The root, and a prefix kept unbounded, are bounded by
-                # the capacity flow of every cell.
-                rest = (tree.tail[0] if parents.bound is None
-                        else parents.bound[i:]).max()
-                pending = max(pending, float(rest))
+                pending = max(pending, float(tree.bound(parents)[i:].max()))
                 return
             chunk = parents.take(slice(i, i + step))
             flat = chunk.size * subtree[e] <= BLOCK_ELEMENTS

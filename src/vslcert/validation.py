@@ -1,14 +1,14 @@
-"""Independent verification tools.
+"""Verification tools: an exact evaluator, a simulator and a Monte-Carlo check.
 
-Three tools live here: the exact evaluator, which scores every
-admissible profile by the walk of the search's prefix tree with no
-prune test (``brute_force_optimum``: ``brute-force``, up to
-``DEFAULT_ENUM_CAP`` profiles, and the ground truth that ``solve``'s
-branch-and-bound must match), a physical demand/supply traffic
-simulator used for congestion comparisons, which returns the density
-summed over the draws (``simulate_ctm``), and a fresh-sample
-Monte-Carlo check of the certificate's out-of-sample guarantee
-(``validate``), which reports that sum as a mean.
+The exact evaluator (``brute_force_optimum``: ``brute-force``, up to
+``DEFAULT_ENUM_CAP`` profiles) is ``search.run_search`` without its
+prune tests, so it is no independent check of the prefix tree: it checks
+that ``solve``'s bound and radius prune no optimum, and the tests check
+the tree's values against ``certificate``. The others: a physical
+demand/supply traffic simulator used for congestion comparisons, which
+returns the density summed over the draws (``simulate_ctm``), and a
+fresh-sample Monte-Carlo check of the certificate's out-of-sample
+guarantee (``validate``), which reports that sum as a mean.
 
 The physical simulator deliberately differs from the linear training
 dynamics: flows saturate at capacities and downstream supply, densities

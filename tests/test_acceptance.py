@@ -148,9 +148,9 @@ def test_bound_monotonicity():
             # is row i // len(band).
             parents, _ = tree.children(parents)
             above = np.repeat(above, len(band))
-            assert (parents.bound
+            assert (tree.bound(parents)
                     <= above + 1e-12 * np.maximum(1.0, np.abs(above))).all()
-            above = parents.bound
+            above = tree.bound(parents)
     check("bound monotonicity", True,
           f"root bound >= enumeration optimum (largest optimum/bound "
           f"{worst:.3f}) and prefix bounds nonincreasing from parent to child "

@@ -166,7 +166,7 @@ def test_prefix_bound_holds_on_every_completion():
             prefixes, propagated = tree.children(prefixes)
             assert propagated == prefixes.size == math.prod(map(len, scenario.bands[:e + 1]))
             completions = values.reshape(prefixes.size, -1)
-            assert (prefixes.bound >= completions.max(axis=1)).all()
+            assert (tree.bound(prefixes) >= completions.max(axis=1)).all()
             far = prefixes.dist > scenario.epsilon
             assert (completions[far] == -math.inf).all()
             beyond += int(far.sum())

@@ -6,8 +6,9 @@ draws in chunks, so they pin the bits of the one-pass computation. Those
 of ``certify``'s ``certificate.csv``, ``brute-force``'s
 ``brute_force.csv`` and ``solve``'s ``result.csv`` (its ``wall_s`` line
 masked) were taken when ``brute-force`` and ``solve`` came to score
-every profile on the prefix tree. A change that means to move any of
-them must say so and regenerate them.
+every profile on the prefix tree, and those at 30 draws before each
+prefix came to hand its children its last cell's outflow. A change that
+means to move any of them must say so and regenerate them.
 
 ``certificate.average_flow`` computes ``u @ traj``, a BLAS product whose
 summation order may depend on the BLAS build (ROADMAP, "Summation
@@ -62,42 +63,52 @@ def test_validate_outputs_match_digests(tmp_path, case):
     assert seen == DIGESTS[case]
 
 
-# (scenario, certify's speeds, seed) -> (certificate.csv, brute_force.csv,
-# result.csv with its wall_s line masked)
+# (scenario, certify's speeds, seed, --count) -> (certificate.csv,
+# brute_force.csv, result.csv with its wall_s line masked). At the default
+# 3 draws a change to the order of a row's step sums can keep every bit;
+# the 30-draw cases move in the last digit under it.
 SOLVER_DIGESTS = {
-    ("tests/data/highway5.json", "120,120,120,80,120", 0): (
+    ("tests/data/highway5.json", "120,120,120,80,120", 0, 3): (
         "603449fce68c5ba1111793f5a657a36d1b97b175b60f29ad44370f5f0629ef01",
         "6f869a666f74c2d71b4a0149f66ca46aaa4b64c63c6231625ff26cc8c413ecc5",
         "052512afec829e92b63d11ac6b6487881ea48446545d8c9f1beeee68581eccb7"),
-    ("tests/data/highway5.json", "120,120,120,80,120", 1): (
+    ("tests/data/highway5.json", "120,120,120,80,120", 1, 3): (
         "718a59360ae7002c534a2abb7aa2610d606c6e3a90278573a08a6f79e0e17209",
         "8a426c8d55c5209fe91fe1bd88a4c56d82be9cdfb9d5cc63e078fec0ca94f17d",
         "eb760d54939750a76a4639c78ed107b6b70722b5deaabb41c691897b5194fb80"),
-    ("tests/data/desk2.json", "0.8,0.4", 0): (
+    ("tests/data/desk2.json", "0.8,0.4", 0, 3): (
         "275e07c02c2ab440db47ef05d335e69f72e1e6cfd7a59f07c5ccad7757d9e232",
         "a49efa6173a600901ba7c77ad4340af7b0a1a58b122dc157103f81e863de8143",
         "c9b841c1a58dce41116c5e1239009c0622b2de902103b3a6e30a1db2eb603168"),
-    ("tests/data/desk2.json", "0.8,0.4", 1): (
+    ("tests/data/desk2.json", "0.8,0.4", 1, 3): (
         "8a749b035930a56725dc2e8d73c1ef959ef4f3fe4302c87df8dead1fe4977dd5",
         "bfd0cd57fd6e527aaf70e5f6b5adfdc1952b53949696c38804c25a6d8eaf90dc",
         "c1aaf89fb9be265b3cd82eda4d4515c13589ca04fd771feeed2fadb2c2ced1c1"),
-    ("perfbench/scenarios/desk_9001.json", "0.5843", 0): (
+    ("perfbench/scenarios/desk_9001.json", "0.5843", 0, 3): (
         "01d3c7a57955ec4376b123ba9f2fffd63714733f846006e1a968ae28a233071c",
         "c9b6e0f8af9fb7606cbde975c26dd71662eceeecc0d6a86f9b1245f2cdf96a25",
         "8d9518565bc107ea4c8ab6c9796945a8251a4feb8ea112e0284c8058aca159a3"),
-    ("perfbench/scenarios/desk_9001.json", "0.5843", 1): (
+    ("perfbench/scenarios/desk_9001.json", "0.5843", 1, 3): (
         "077f925931e2a2fac38077a9305d0c21f7b9b5ca7ecca8f689a79c76222a69d8",
         "f17c26732a86e7f554e78205683d68c0974650b7db8bdd581cdfb19843401694",
         "2d262e70ced0362cddddfb075102e272ced44a9770871aec3f07df5704ec8fad"),
+    ("tests/data/highway5.json", "120,120,120,80,120", 0, 30): (
+        "21e6a9dff6f8c794bbad3d494cf73183056a8684320e516298fe67053959f046",
+        "866643f595cc4b99fb23d0ce9a495d4b47172aff5aa090bb58a518f2fe46e03b",
+        "d16c50ce46fd218a15bc0ed4e1fd77d370f78a35a12f7c92f20be4577919ec89"),
+    ("tests/data/highway5.json", "120,120,120,80,120", 1, 30): (
+        "5cc077dbd486e17af47113d987a89efb2579dbe6caff509520ce581a7a98b3cc",
+        "c305bf37a9a5a66eebd5a24362204dcd6e8cd47b5dea82014989fe95eb143496",
+        "80e289a3161d4725cf51c269d738d33099f8cb16315ef6b32936322578f194ff"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SOLVER_DIGESTS),
-                         ids=lambda c: f"{Path(c[0]).stem}-{c[2]}")
+@pytest.mark.parametrize("case", sorted(SOLVER_DIGESTS), ids=lambda c: (
+    f"{Path(c[0]).stem}-{c[2]}" + ("" if c[3] == 3 else f"-count{c[3]}")))
 def test_solver_outputs_match_digests(tmp_path, case):
-    scenario, speeds, seed = case
+    scenario, speeds, seed, count = case
     common = ["--scenario", str(ROOT / scenario), "--seed", str(seed),
-              "--out", str(tmp_path)]
+              "--count", str(count), "--out", str(tmp_path)]
     assert main(["certify", *common, "--speeds", speeds]) == 0
     assert main(["brute-force", *common]) == 0
     assert main(["solve", *common]) == 0

@@ -320,6 +320,20 @@ def test_csv_round_trip_is_exact(tmp_path):
         assert (orig.omega == loaded.omega).all()
 
 
+@pytest.mark.parametrize("blocked", ["rho0", "omega"])
+def test_write_samples_writes_its_pair_or_nothing(tmp_path, blocked):
+    # A directory at either path fails the write; the other file of the
+    # pair must not be left behind, and the directory must stay.
+    rng = np.random.default_rng(8)
+    sc, gen = desk.random_scenario(rng, n=2, T=3)
+    samples = desk.desk_samples(sc, gen, 3, 5)
+    (tmp_path / f"s_{blocked}.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_samples(samples, tmp_path / "s")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"s_{blocked}.csv"]
+    assert (tmp_path / f"s_{blocked}.csv").is_dir()
+
+
 def test_read_samples_rejects_out_of_range_density(tmp_path):
     sc, _ = single_edge(T=2)
     bad = SampleSet(np.array([[100.0]]), np.zeros((1, 1, 2)))

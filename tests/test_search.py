@@ -17,6 +17,7 @@ from vslcert.sampling import (
     SampleSet,
     generate_samples,
     load_generator,
+    propagate,
     propagate_batch,
 )
 from vslcert.search import TERM_ENUMERATED, TERM_TIME, run_search
@@ -342,6 +343,31 @@ def test_every_expansion_scores_like_one_level_on_long_horizons(T, count):
     cfg["T"], cfg["gamma"] = T, [80, 100, 120]
     scenario, samples = corridor_samples(cfg, count, 100)
     assert_walks_score_like_one_level(scenario, samples)
+
+
+@pytest.mark.parametrize("floor, reach", [
+    (None, math.inf), (-math.inf, math.inf), (-math.inf, 1.0)],
+    ids=["unbounded", "bounded", "radius"])
+def test_every_prefix_hands_off_its_last_cells_outflow(floor, reach):
+    # Each kept child hands its children u_e * (rho0_e, rho_e(1..T-1)),
+    # bit for bit as propagate gives rho_e on a completion of its prefix;
+    # the root hands off zeros and a whole profile nothing. Every child
+    # kept, and (reach) some dropped by the radius test.
+    scenario, samples = corridor_samples(desk.corridor_config(5), 3, 0)
+    tree = search.PrefixTree(scenario, samples)
+    prefixes = tree.root()
+    assert prefixes.outflow.shape == (1, 3, scenario.T)
+    assert not prefixes.outflow.any()
+    rng = np.random.default_rng(0)
+    for e in range(1, scenario.n):
+        prefixes, _ = tree.children(prefixes, floor, reach * scenario.epsilon)
+        assert prefixes.size
+        for speed, outflow in zip(prefixes.speed, prefixes.outflow):
+            rest = [band[rng.integers(len(band))] for band in scenario.bands[e:]]
+            rho = propagate(scenario, scenario.speed_profile([*speed, *rest]), samples)
+            last = np.concatenate((samples.rho0[:, e - 1, None], rho[:, e - 1, :-1]), axis=1)
+            assert outflow.tobytes() == (speed[-1] * last).tobytes()
+    assert tree.children(prefixes, floor, reach * scenario.epsilon)[0].outflow is None
 
 
 @pytest.mark.parametrize("omega", [1e306, 1e308])
