@@ -32,15 +32,16 @@ the search's prefix tree (``search.PrefixTree``) carries ``partial`` and
 profile with :func:`dual_totals`. :func:`certificate` runs the same two
 functions on one profile. Each sum runs in an order that does not depend
 on what the profile is stacked with: the step sum over a contiguous row,
-the draw and cell sums as cumulative sums. The unpruned walk
-(``PrefixTree.leaves``) keeps no trajectories: it adds the same terms
-(:func:`box_terms`) into lanes as it propagates, in the order in which
-numpy's float64 sum adds a contiguous row (:class:`PairwiseSum`), and
-then adds its step sums with :func:`add_sums`, as :func:`add_cells`
-does. ``tests/test_certificate.py`` pins that order against numpy's for
-every T from 1 to 300 and names the numpy version when it moves. So a
-profile has the same value bits in ``certify``, ``brute-force`` and
-``solve``.
+the draw sum as a cumulative sum, and the cell sum one cell at a time,
+from the running sums. The unpruned walk (``PrefixTree.leaves``) keeps
+no trajectories: it adds the same terms (:func:`box_terms`) into lanes
+as it propagates, in the order in which numpy's float64 sum adds a
+contiguous row (:class:`PairwiseSum`), and then adds its step sums with
+:func:`add_sums`, as :func:`add_cells` does.
+``tests/test_certificate.py`` pins the step order against numpy's for
+every T from 1 to 300 and names the numpy version when it moves, and
+the cell order against cumulative sums over the cells. So a profile has
+the same value bits in ``certify``, ``brute-force`` and ``solve``.
 """
 
 from __future__ import annotations
@@ -201,17 +202,19 @@ def add_sums(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,
     the scales lams (L,), and dist (...), from sums (2, ..., N, c): each
     cell's anchor mass and box distance in N draws, summed over the
     steps, and a (..., c) the cells' flow weights. The sums are added
-    over the draws in draw order, then divided by N; dist is inf past
-    the float range.
+    over the draws in draw order, then divided by N, and the cells are
+    added one at a time, the first to the running sums; dist is inf
+    past the float range.
     """
     with np.errstate(over="ignore"):
-        # Cumulative sums add one draw, and below one cell, at a time,
-        # whatever the layout.
+        # A cumulative sum adds one draw at a time, whatever the layout.
         mass, cell_dist = sums.cumsum(axis=-2)[..., -1, :] / sums.shape[-2]
         terms = np.minimum(lams, a[..., None]) * mass[..., None]
-        terms[..., 0, :] += partial
-        cell_dist[..., 0] += dist
-        return terms.cumsum(axis=-2)[..., -1, :], cell_dist.cumsum(axis=-1)[..., -1]
+        partial, dist = terms[..., 0, :] + partial, cell_dist[..., 0] + dist
+        for k in range(1, terms.shape[-2]):
+            partial += terms[..., k, :]
+            dist += cell_dist[..., k]
+        return partial, dist
 
 
 def dual_totals(partial: np.ndarray, dist: np.ndarray, lams: np.ndarray,

@@ -305,10 +305,13 @@ def propagate_batch(
 def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:
     """Write ``<prefix>_rho0.csv`` (l, e, rho0) and ``<prefix>_omega.csv``
     (l, e, t, omega); indices are 1-based for l and e, 0-based for t.
-    Lines end in LF, as in every CSV the commands write. It writes the
-    pair or nothing: when a write fails, the files this call wrote, a
-    half-written one included, are removed before the OSError is raised,
-    so no half pair is left to be read with a stale partner."""
+    Lines end in LF, as in every CSV the commands write. Each file is
+    created new, as the commands create their outputs: what is at its
+    path is removed first, so a symlink there is replaced, not written
+    through. It writes the pair or nothing: when a write fails, the
+    files this call wrote, a half-written one included, are removed
+    before the OSError is raised, so no half pair is left to be read
+    with a stale partner."""
     prefix = Path(prefix)
     rho0_path = prefix.with_name(prefix.name + "_rho0.csv")
     omega_path = prefix.with_name(prefix.name + "_omega.csv")
@@ -316,7 +319,8 @@ def write_samples(samples: SampleSet, prefix: str | Path) -> tuple[Path, Path]:
     try:
         for path, columns, values in ((rho0_path, ["l", "e", "rho0"], samples.rho0),
                                       (omega_path, ["l", "e", "t", "omega"], samples.omega)):
-            with open(path, "w", newline="") as fh:
+            path.unlink(missing_ok=True)
+            with open(path, "x", newline="") as fh:
                 written.append(path)
                 w = csv.writer(fh, lineterminator="\n")
                 w.writerow(columns)

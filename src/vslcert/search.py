@@ -285,7 +285,7 @@ class PrefixTree:
         :func:`certificate.add_sums`, so every value keeps the bits
         :meth:`children` gives it. Raises ValueError as ``propagate``
         does when the trajectories overflow, which it reads from each
-        state's running largest and smallest value."""
+        state's running largest box distance."""
         sc, samples = self.scenario, self.samples
         e, T, N, F = parents.length, sc.T, samples.count, parents.size
         bands = sc.bands[e:]
@@ -324,9 +324,11 @@ class PrefixTree:
         from the speed u, the critical density cap, the parent's row up
         and the level of every prefix; rows 0..F-1 are the parents, whose
         flow at step t is their hand-off's. Each step's terms are added as
-        soon as they are computed, and ``check_bounded`` reads each
-        state's largest and smallest value over the steps, as it reads a
-        whole trajectory."""
+        soon as they are computed. ``check_bounded`` reads a bound on
+        every state's magnitude in place of the trajectory: the largest
+        box distance of each prefix and draw over the steps plus its
+        cap, rounded up one ulp, never below the largest |rho|, so it
+        raises wherever it would on the trajectory."""
         sc, samples = self.scenario, self.samples
         e, T, N, F = parents.length, sc.T, samples.count, parents.size
         nodes = len(up)
@@ -343,9 +345,8 @@ class PrefixTree:
         # The flow of every row, the parents' first, and every prefix's inflow.
         flow, inflow, net = np.empty((F + nodes, N)), np.empty((nodes, N)), np.empty((nodes, N))
         sums = PairwiseSum(T, (2, nodes, N))
-        # The largest and the smallest state of each prefix and draw.
-        peak = np.empty((2, nodes, N))
-        peak[0], peak[1] = -math.inf, math.inf
+        # The largest box distance of each prefix and draw.
+        peak = np.zeros((nodes, N))
         with np.errstate(over="ignore", invalid="ignore"):
             # The recursion of sampling.propagate_cells, one operation at a
             # time: rho + h * (inflow - flow + omega).
@@ -359,11 +360,14 @@ class PrefixTree:
                 inflow *= sc.h
                 state += inflow
                 # The terms add_cells sums, added in numpy's order.
-                box_terms(state, cap, sums.slot())
+                terms = box_terms(state, cap, sums.slot())
+                np.maximum(peak, terms[1], out=peak)
                 sums.add()
-                np.maximum(peak[0], state, out=peak[0])
-                np.minimum(peak[1], state, out=peak[1])
             total = sums.total()
+            # |rho| <= box distance + cap; one ulp up covers the rounding
+            # of the distance and of this sum.
+            peak += cap
+            np.nextafter(peak, math.inf, out=peak)
         check_bounded(sc, peak, self.u_max)
         return total
 
@@ -371,12 +375,21 @@ class PrefixTree:
         """The dual objective (F, L) of whole profiles at every scale of
         lams, and their certified values (F,): its maximum over each
         profile's own breakpoints, zero and its flow weights, as
-        ``certificate`` scans them; -inf where the ambiguity set is empty."""
+        ``certificate`` scans them; -inf where the ambiguity set is empty.
+
+        The maximum is taken scale by scale over all profiles at once: at
+        each scale of lams past zero, one test of which profiles have it
+        among their flow weights and one masked running maximum. A
+        maximum is exact, so the values have the bits of a maximum over
+        each profile's own breakpoints in any order."""
         totals = dual_totals(leaves.partial, leaves.dist, self.lams,
                              self.scenario.epsilon)
-        own = self.lams.searchsorted(leaves.speed / self.scenario.T)
-        rows = np.arange(len(own))[:, None]
-        return totals, np.maximum(totals[:, 0], totals[rows, own].max(axis=1))
+        # Cells first, so that each scale's test reads contiguous rows.
+        a = np.ascontiguousarray(leaves.speed.T) / self.scenario.T
+        best = totals[:, 0].copy()
+        for lam, column in zip(self.lams[1:], totals.T[1:]):
+            np.maximum(best, column, out=best, where=(a == lam).any(axis=0))
+        return totals, best
 
 
 def run_search(scenario: HighwayScenario, samples: SampleSet,

@@ -56,9 +56,10 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
     test, with the value :func:`certificate` gives it. The first best in
     product order wins, so ties go to the lexicographically smallest speed
     vector; its certificate is then evaluated once more, on its own
-    trajectories, as the check on the tree's scan table. Refuses
-    (``ValueError``), before propagating anything, when the profile count
-    exceeds ``DEFAULT_ENUM_CAP``; use ``solve`` instead. Raises
+    trajectories, as the check on the tree's scan table: the two must be
+    equal, or ``RuntimeError`` names both. Refuses (``ValueError``),
+    before propagating anything, when the profile count exceeds
+    ``DEFAULT_ENUM_CAP``; use ``solve`` instead. Raises
     ``InfeasibleScenarioError`` when every profile has an empty ambiguity
     set.
     """
@@ -75,7 +76,11 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
             "the radius is too small for these samples"
         )
     best = scenario.speed_profile(report.best_u)
-    return best, certificate(scenario, best, propagate_batch(scenario, best, samples))
+    result = certificate(scenario, best, propagate_batch(scenario, best, samples))
+    if result != report.certificate:
+        raise RuntimeError(f"the prefix tree's certificate of {best.u}, "
+                           f"{report.certificate}, is not its own, {result}")
+    return best, result
 
 
 def simulate_ctm(scenario: HighwayScenario, speeds,

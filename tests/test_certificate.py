@@ -14,6 +14,7 @@ from vslcert.certificate import (
     STATUS_FINITE,
     PairwiseSum,
     add_cells,
+    add_sums,
     average_flow,
     box_terms,
     certificate,
@@ -269,3 +270,40 @@ def test_walk_step_sum_keeps_numpys_pairwise_order():
         assert walk[0].tobytes() == x.sum(axis=-1).tobytes(), order
         assert walk[1].tobytes() == terms.sum(axis=-1).tobytes(), order
         assert walk[1].tobytes() == np.stack((partial[:, 0], dist)).tobytes(), order
+
+
+def cumulative_add_sums(partial, dist, lams, a, sums):
+    """add_sums as two cumulative sums over the cells, the first cell's
+    terms plus the running sums first: the reference for its loop."""
+    mass, cell_dist = sums.cumsum(axis=-2)[..., -1, :] / sums.shape[-2]
+    terms = np.minimum(lams, a[..., None]) * mass[..., None]
+    terms[..., 0, :] += partial
+    cell_dist[..., 0] += dist
+    return terms.cumsum(axis=-2)[..., -1, :], cell_dist.cumsum(axis=-1)[..., -1]
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 4])
+def test_add_sums_adds_cells_in_cumulative_order(cells):
+    # The running sums of 6 prefixes, each with 3 children of c cells at 2
+    # draws, drawn from signed zeros, infinities, values near the float
+    # maximum and ordinary magnitudes of both signs: the cell loop must give
+    # the bits of the cumulative sums, nan and overflow included.
+    rng = np.random.default_rng(cells)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, 1.7e308, -1.7e308,
+                        np.finfo(float).max, 5e-324])
+
+    def draw(shape):
+        x = rng.uniform(-1e3, 1e3, size=shape)
+        pick = rng.random(shape) < 0.4
+        x[pick] = rng.choice(special, size=pick.sum())
+        return x
+
+    lams = np.array([0.0, 0.5, 1.0, 2.0])
+    args = (draw((6, 1, 4)), draw((6, 1)), lams,
+            rng.choice([0.5, 1.0, 2.0], size=(3, cells)), draw((2, 6, 3, 2, cells)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = add_sums(*args), cumulative_add_sums(*args)
+    assert np.isnan(got[0]).any() and np.isinf(got[1]).any()
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()

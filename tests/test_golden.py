@@ -14,18 +14,31 @@ means to move any of them must say so and regenerate them.
 summation order may depend on the BLAS build (ROADMAP, "Summation
 order" under the run-record item). Both files carry ``mean_objective``
 in their header, so the digests hold for the BLAS they were taken with:
-OpenBLAS 0.3.31 under numpy 2.4 on x86-64.
+OpenBLAS 0.3.31 under numpy 2.4 on x86-64. A digest that moves names the
+numpy and the BLAS it moved under.
 """
 
 import hashlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vslcert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+
+def numeric_stack() -> str:
+    """numpy's version and the BLAS its build reports, for the message of
+    a digest that moved."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError, AttributeError):
+        blas = "not reported"
+    return f"digests moved under numpy {np.__version__}, BLAS {blas}"
+
 
 # (scenario, speeds, j_hat, n_val, seed) -> (summary.csv, density_mean.csv)
 DIGESTS = {
@@ -60,7 +73,7 @@ def test_validate_outputs_match_digests(tmp_path, case):
     assert rc == 0
     seen = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                  for name in ("summary.csv", "density_mean.csv"))
-    assert seen == DIGESTS[case]
+    assert seen == DIGESTS[case], numeric_stack()
 
 
 # (scenario, certify's speeds, seed, --count) -> (certificate.csv,
@@ -116,4 +129,4 @@ def test_solver_outputs_match_digests(tmp_path, case):
         hashlib.sha256(re.sub(rb"(?m)^# wall_s=.*$", b"# wall_s=",
                               (tmp_path / name).read_bytes())).hexdigest()
         for name in ("certificate.csv", "brute_force.csv", "result.csv"))
-    assert seen == SOLVER_DIGESTS[case]
+    assert seen == SOLVER_DIGESTS[case], numeric_stack()

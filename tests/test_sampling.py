@@ -334,6 +334,24 @@ def test_write_samples_writes_its_pair_or_nothing(tmp_path, blocked):
     assert (tmp_path / f"s_{blocked}.csv").is_dir()
 
 
+@pytest.mark.parametrize("linked", ["rho0", "omega"])
+def test_write_samples_replaces_a_symlink(tmp_path, linked):
+    # A symlink at either path is replaced by a new file, as the commands
+    # replace one at an output path; its target is not written through.
+    rng = np.random.default_rng(8)
+    sc, gen = desk.random_scenario(rng, n=2, T=3)
+    samples = desk.desk_samples(sc, gen, 3, 5)
+    target = tmp_path / "target.txt"
+    target.write_text("keep\n")
+    link = tmp_path / f"s_{linked}.csv"
+    link.symlink_to(target)
+    write_samples(samples, tmp_path / "s")
+    assert not link.is_symlink() and link.is_file()
+    assert target.read_text() == "keep\n"
+    back = read_samples(tmp_path / "s", sc)
+    assert (back.rho0 == samples.rho0).all() and (back.omega == samples.omega).all()
+
+
 def test_read_samples_rejects_out_of_range_density(tmp_path):
     sc, _ = single_edge(T=2)
     bad = SampleSet(np.array([[100.0]]), np.zeros((1, 1, 2)))

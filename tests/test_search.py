@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import desk
 from vslcert import search, validation
-from vslcert.certificate import certificate
+from vslcert.certificate import certificate, dual_totals
 from vslcert.errors import DisturbanceOverflowError, InfeasibleScenarioError
 from vslcert.network import load_scenario
 from vslcert.sampling import (
@@ -370,16 +370,124 @@ def test_every_prefix_hands_off_its_last_cells_outflow(floor, reach):
     assert tree.children(prefixes, floor, reach * scenario.epsilon)[0].outflow is None
 
 
+def own_scale_values(tree, leaves):
+    """Each leaf's value as the maximum of its dual objective over its own
+    scales, found in lams by search: the reference for
+    PrefixTree.values."""
+    totals = dual_totals(leaves.partial, leaves.dist, tree.lams, tree.scenario.epsilon)
+    own = tree.lams.searchsorted(leaves.speed / tree.scenario.T)
+    rows = np.arange(len(own))[:, None]
+    return np.maximum(totals[:, 0], totals[rows, own].max(axis=1))
+
+
+def assert_values_match_own_scale_search(scenario, samples):
+    tree = search.PrefixTree(scenario, samples)
+    leaves, _ = tree.leaves(tree.root())
+    values = tree.values(leaves)[1]
+    assert values.tobytes() == own_scale_values(tree, leaves).tobytes()
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_values_match_own_scale_search_on_corridor(seed):
+    # 1,875 leaves, scored scale by scale.
+    scenario, samples = corridor_samples(desk.corridor_config(5), 3, seed)
+    assert len(assert_values_match_own_scale_search(scenario, samples)) == 1875
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+def test_values_match_own_scale_search_on_random_desks(seed, count, sentinel):
+    rng = np.random.default_rng(seed)
+    make = desk.sentinel_scenario if sentinel else desk.random_scenario
+    scenario, gen = make(rng)
+    assert_values_match_own_scale_search(
+        scenario, desk.desk_samples(scenario, gen, count, seed))
+
+
 @pytest.mark.parametrize("omega", [1e306, 1e308])
 def test_overflowing_one_loop_walk_raises(omega):
     # The one-loop walk keeps no trajectory, only each state's running
-    # extremes: they must still find states whose flows leave the float
-    # range (1e306) and states that overflow to inf and then nan (1e308).
+    # largest box distance: it must still find states whose flows leave
+    # the float range (1e306) and states that overflow to inf and then nan
+    # (1e308).
     scenario, samples = corridor_samples(desk.corridor_config(5), 2, 0)
     blast = SampleSet(samples.rho0, np.full_like(samples.omega, omega))
     tree = search.PrefixTree(scenario, blast)
     with pytest.raises(DisturbanceOverflowError, match="overflow"):
         tree.leaves(tree.root())
+
+
+@pytest.mark.parametrize("gamma", [[80], [80, 100, 120]], ids=["one-profile", "81-profiles"])
+def test_one_loop_guard_is_never_looser_than_check_bounded(gamma):
+    # The one-loop walk bounds each state by its largest box distance plus
+    # its cap, one ulp up. Scale the corridor's disturbances to where
+    # check_bounded on propagate's trajectories of some profile of the
+    # menu first raises (max|rho| * u_max * n * T just past the float
+    # maximum): at every scale probed around that edge, and at twice it,
+    # the walk must raise wherever a profile does, and a rounding below
+    # the edge it must not raise.
+    cfg = desk.corridor_config(5)
+    cfg["gamma"] = gamma
+    scenario, samples = corridor_samples(cfg, 2, 0)
+    profiles = [scenario.speed_profile(u) for u in itertools.product(*scenario.bands)]
+
+    def raises(run, scale):
+        blast = SampleSet(scale * samples.rho0, scale * samples.omega)
+        try:
+            run(blast)
+        except DisturbanceOverflowError:
+            return True
+        return False
+
+    def propagated(blast):
+        for profile in profiles:
+            propagate(scenario, profile, blast)
+
+    def walked(blast):
+        tree = search.PrefixTree(scenario, blast)
+        tree.leaves(tree.root())
+
+    # Bisect the scale's bits (positive floats order as their bits) down to
+    # adjacent floats on either side of the edge.
+    below, above = np.array([1.0, 1e303]).view(np.int64).tolist()
+    assert not raises(propagated, 1.0) and raises(propagated, 1e303)
+    while above - below > 1:
+        mid = (below + above) // 2
+        if raises(propagated, np.int64(mid).view(float)):
+            above = mid
+        else:
+            below = mid
+    probes = np.arange(above - 8, above + 9).view(float)
+    verdicts = [raises(propagated, scale) for scale in probes]
+    assert any(verdicts) and not all(verdicts)
+    for scale, verdict in zip([*probes, 2 * probes[-1]], [*verdicts, True]):
+        assert raises(walked, scale) or not verdict, scale
+    assert not raises(walked, probes[0] * (1 - 2**-40))
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["inflow", "outflow"])
+def test_one_loop_guard_bounds_every_state(sign, monkeypatch):
+    # What the one-loop walk hands check_bounded bounds |rho| over the
+    # steps of every prefix and draw, as propagate gives the prefix's last
+    # cell: states inside the box, above their cap and (net outflows)
+    # below zero, where the cap and the rounding of the bound matter.
+    cfg = desk.corridor_config(5)
+    cfg["gamma"] = [80, 100, 120]
+    scenario, samples = corridor_samples(cfg, 2, 0)
+    samples = SampleSet(samples.rho0, sign * samples.omega)
+    handed = []
+    monkeypatch.setattr(search, "check_bounded", lambda sc, bound, u_max: handed.append(bound))
+    tree = search.PrefixTree(scenario, samples)
+    tree.leaves(tree.root())
+    peaks = []
+    for e in range(scenario.n):
+        for prefix in itertools.product(*scenario.bands[:e + 1]):
+            rest = [band[0] for band in scenario.bands[e + 1:]]
+            rho = propagate(scenario, scenario.speed_profile([*prefix, *rest]), samples)
+            peaks.append(np.abs(rho[:, e]).max(axis=-1))
+    (bound,) = handed
+    assert (bound >= np.array(peaks)).all()
 
 
 def test_unpruned_corridor_walk_is_one_time_loop(monkeypatch):

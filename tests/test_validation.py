@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 import desk
-from vslcert.certificate import average_flow, certificate
+from vslcert import search
+from vslcert.certificate import average_flow, certificate, scan_result
 from vslcert.cli import main
 from vslcert.errors import InfeasibleScenarioError
 from vslcert.network import (
@@ -131,6 +133,25 @@ def test_brute_force_single_profile():
     best, result = brute_force_optimum(sc, samples)
     assert best.u == (sc.gamma[0],)
     assert math.isfinite(result.value)
+
+
+def test_brute_force_checks_the_trees_certificate(monkeypatch):
+    # The tree's scan of its winner, with the value one bit up: the
+    # winner's own certificate must catch it and name both.
+    rng = np.random.default_rng(3)
+    sc, gen = desk.random_scenario(rng, n=2, T=2, menu_size=2)
+    samples = desk.desk_samples(sc, gen, 3, 0)
+    best, own = brute_force_optimum(sc, samples)
+    bumped = dataclasses.replace(own, value=float(np.nextafter(own.value, math.inf)))
+
+    def one_bit_up(lams, totals):
+        result = scan_result(lams, totals)
+        return dataclasses.replace(result, value=float(np.nextafter(result.value, math.inf)))
+
+    monkeypatch.setattr(search, "scan_result", one_bit_up)
+    with pytest.raises(RuntimeError) as raised:
+        brute_force_optimum(sc, samples)
+    assert str(bumped) in str(raised.value) and str(own) in str(raised.value)
 
 
 def test_brute_force_respects_enumeration_cap(tmp_path, monkeypatch, capsys):
