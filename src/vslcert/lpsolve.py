@@ -11,7 +11,8 @@ solutions.
 
 scipy is imported by the functions that call it, not with the module, so
 the command line starts without it: only the test oracles of
-``linearize`` solve models here, and scipy is a test dependency.
+``tests/oracles.py`` build the models solved here, and scipy is a test
+dependency.
 """
 
 from __future__ import annotations

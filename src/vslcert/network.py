@@ -78,17 +78,6 @@ def critical_density(seg: SegmentParams, u: float) -> float:
     return tau * seg.rho_bar * seg.u_bar / (tau * seg.u_bar + u)
 
 
-def eta_coefficient(seg: SegmentParams, u: float) -> float:
-    """Coefficient of the multiplier ``eta`` in the no-congestion dual
-    feasibility row under speed limit ``u``: the row of the fixed-profile
-    certificate LP reads ``eta_coefficient(seg, u) * eta - nu >= -u / T``.
-
-    Equals ``f_bar + u * (rho_bar - f_bar / u_bar)``, which simplifies to
-    ``f_bar * rho_bar / critical_density(seg, u)``.
-    """
-    return seg.f_bar + u * (seg.rho_bar - seg.f_bar / seg.u_bar)
-
-
 def admissible_speeds(
     seg: SegmentParams, gamma: tuple[float, ...], jam_margin: float
 ) -> tuple[float, ...]:

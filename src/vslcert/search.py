@@ -64,20 +64,20 @@ from .network import HighwayScenario, critical_density
 from .sampling import SampleSet, check_bounded, propagate_batch, propagate_cells
 
 # perfbench/tracer.py TARGETS looks up these names (solve_milp is solve_lp's
-# old name), certificate, propagate_batch and four removed functions on this
-# module with getattr and no default, so they stay until the benchmark change
-# that moves the tracer onto spans (ROADMAP, "Spans inside the product"). They
-# also load vslcert.lpsolve with the CLI, whose import time the benchmark reads.
-from .linearize import build_lower
+# old name), certificate, propagate_batch and five names no longer in the
+# package (_removed stands in for each) on this module with getattr and no
+# default, so they stay until the benchmark change that moves the tracer onto
+# spans (ROADMAP, "Spans inside the product"). They also load vslcert.lpsolve
+# with the CLI, whose import time the benchmark reads (lpsolve.import_s).
 from .lpsolve import solve_lp
 from .lpsolve import solve_lp as solve_milp
 
 
 def _removed(*args, **kwargs):
-    raise NotImplementedError("removed with the MILP search")
+    raise NotImplementedError("no longer in the package")
 
 
-build_upper = decode_profile = assignment_of = eta_saturation = _removed
+build_lower = build_upper = decode_profile = assignment_of = eta_saturation = _removed
 
 TERM_ENUMERATED = "enumerated"
 TERM_TIME = "time_limit"

@@ -28,7 +28,6 @@ from .errors import ArgumentError, InfeasibleScenarioError
 from .network import HighwayScenario, SpeedProfile, wave_ratio
 from .sampling import (
     VALIDATION_SEED_OFFSET,
-    DisturbanceSample,
     GeneratorSpec,
     SampleSet,
     allocate,
@@ -83,11 +82,10 @@ def brute_force_optimum(scenario: HighwayScenario, samples: SampleSet):
     return best, result
 
 
-def simulate_ctm(scenario: HighwayScenario, speeds,
-                 sample: DisturbanceSample | SampleSet,
+def simulate_ctm(scenario: HighwayScenario, speeds, samples: SampleSet,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Physical demand/supply simulation over every step of the sample,
-    summed over its draws.
+    """Physical demand/supply simulation over every step of the samples,
+    summed over their draws.
 
     speeds holds one speed per edge: a profile's ``u``, or
     ``scenario.uncontrolled_profile()`` (free-flow speeds, ignoring
@@ -98,7 +96,7 @@ def simulate_ctm(scenario: HighwayScenario, speeds,
     the other edges are added directly and the result is clamped to
     [0, rho_U]. Returns the (n, steps) sum over the draws, added one draw
     at a time in draw order, of the states at steps 1..steps of
-    ``sample.omega``: the states themselves for one ``DisturbanceSample``.
+    ``samples.omega``: the states themselves for a set of one draw.
     When ``out`` is given, the sum starts from what it holds (the sum of
     the draws before) and is written into it. No state of a single draw
     is kept past its step.
@@ -108,13 +106,10 @@ def simulate_ctm(scenario: HighwayScenario, speeds,
 
     # The step runs on states laid out (n, draws), cells first: ``.T``
     # turns the (draws, n) and (draws, n, steps) arrays of a sample set
-    # around; one draw is a set of one. Every parameter is broadcast once
-    # to the state shape, so each ufunc is one or two contiguous inner
-    # loops, not one loop per draw, and writes into a buffer allocated
-    # here once.
-    rho0, omega = sample.rho0.T, sample.omega.T  # (n, draws), (steps, n, draws)
-    if rho0.ndim == 1:
-        rho0, omega = rho0[:, None], omega[..., None]
+    # around. Every parameter is broadcast once to the state shape, so each
+    # ufunc is one or two contiguous inner loops, not one loop per draw, and
+    # writes into a buffer allocated here once.
+    rho0, omega = samples.rho0.T, samples.omega.T  # (n, draws), (steps, n, draws)
     n, draws = rho0.shape
     params = np.empty((4, n, draws))
     params.T[...] = np.array([

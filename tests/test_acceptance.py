@@ -10,9 +10,9 @@ import math
 import numpy as np
 
 import desk
+from oracles import box_support, box_support_lp, build_lower
 from vslcert.certificate import certificate
 from vslcert.errors import InfeasibleScenarioError
-from vslcert.linearize import box_support, box_support_lp, build_lower
 from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_lp
 from vslcert.network import SegmentParams, admissible_speeds, critical_density
 from vslcert.sampling import generate_samples, propagate_batch

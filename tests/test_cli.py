@@ -145,7 +145,9 @@ def test_commands_start_without_scipy(tmp_path):
     # scipy is a test dependency: no command imports it, a solve past the
     # enumeration cap included; vslcert.lpsolve itself is still imported,
     # without it. Nor does any command load numpy.ma (np.unique does),
-    # which takes a noticeable share of a cold start.
+    # which takes a noticeable share of a cold start. The commands load
+    # every module of the package and nothing else of it, so a module only
+    # the tests use cannot sit in the package unnoticed.
     wide = tmp_path / "corridor8.json"
     wide.write_text(json.dumps(desk.corridor_config(8)))
     script = f"""
@@ -154,6 +156,7 @@ from vslcert.cli import main
 out = {str(tmp_path)!r}
 common = ["--scenario", {HIGHWAY!r}, "--out", out]
 codes = [
+    main(["simulate", *common, "--speeds", "120,120,120,80,120"]),
     main(["certify", *common, "--speeds", "120,120,120,80,120"]),
     main(["brute-force", *common]),
     main(["solve", *common]),
@@ -166,6 +169,7 @@ print(json.dumps({{
     "codes": codes,
     "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
     "lpsolve": "vslcert.lpsolve" in sys.modules,
+    "vslcert": sorted(m for m in sys.modules if m.split(".")[0] == "vslcert"),
     "numpy.ma": "numpy.ma" in sys.modules,
 }}))
 """
@@ -173,7 +177,13 @@ print(json.dumps({{
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"codes": [0, 0, 0, 0, 0], "scipy": [], "lpsolve": True,
+    loaded = seen.pop("vslcert")
+    assert "vslcert.linearize" not in loaded
+    package = Path(vslcert.__file__).parent
+    assert loaded == sorted(["vslcert"] + [f"vslcert.{path.stem}"
+                                           for path in package.glob("*.py")
+                                           if path.stem != "__init__"])
+    assert seen == {"codes": [0, 0, 0, 0, 0, 0], "scipy": [], "lpsolve": True,
                     "numpy.ma": False}
     header, rows = read_table(tmp_path / "wide" / "result.csv")
     assert header["termination"] == "enumerated"

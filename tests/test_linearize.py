@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import desk
+from oracles import box_support, box_support_lp, build_lower
 from vslcert.certificate import STATUS_EMPTY, certificate
-from vslcert.linearize import box_support, box_support_lp, build_lower
 from vslcert.lpsolve import OPTIMAL, UNBOUNDED, solve_lp
 from vslcert.sampling import propagate_batch
 
@@ -29,7 +29,7 @@ def test_lower_model_block_counts():
     n, T, N = sc.n, sc.T, samples.count
     combo = admissible_assignments(sc)[0]
     profile = sc.speed_profile([sc.gamma[i] for i in combo])
-    model = build_lower(sc, samples, profile)
+    model = build_lower(sc, samples, profile, propagate_batch(sc, profile, samples))
     assert model.block_rows == {"dual_feas": N * n * T,
                                 "norm_cap": 2 * N * n * T}
     assert model.nvars == 1 + 2 * N * n * T

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import allowable_flow
+from oracles import allowable_flow, eta_coefficient
 from vslcert.errors import ConfigError, InfeasibleScenarioError
 from vslcert.network import (
     DEFAULT_JAM_MARGIN,
@@ -17,7 +17,6 @@ from vslcert.network import (
     SegmentParams,
     admissible_speeds,
     critical_density,
-    eta_coefficient,
     load_scenario,
     wave_ratio,
 )

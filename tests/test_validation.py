@@ -49,6 +49,11 @@ def reference_propagate(sc, prof, sample):
     return out
 
 
+def one_draw(sample):
+    """A ``SampleSet`` of the one draw ``sample``."""
+    return SampleSet(sample.rho0[None], sample.omega[None])
+
+
 def reference_ctm(sc, speeds, sample):
     """Per-draw demand/supply simulation with scalar boundary handling
     over every step of the draw (reference); returns the states
@@ -262,7 +267,7 @@ def test_ctm_stays_at_zero_without_input():
     sc, _ = desk.random_scenario(rng, n=3, T=4)
     prof = sc.speed_profile([b[0] for b in sc.bands])
     sample = DisturbanceSample(np.zeros(sc.n), np.zeros((sc.n, sc.T)))
-    traj = simulate_ctm(sc, prof.u, sample)
+    traj = simulate_ctm(sc, prof.u, one_draw(sample))
     assert traj.shape == (sc.n, sc.T)
     assert (traj == 0.0).all()
 
@@ -287,7 +292,7 @@ def test_ctm_matches_linear_model_in_free_flow():
                 caps_ok &= 0.0 <= rho_t[e] <= seg.rho_U
         if not caps_ok:
             continue
-        physical = simulate_ctm(sc, prof.u, sample)
+        physical = simulate_ctm(sc, prof.u, one_draw(sample))
         assert np.abs(physical - linear).max() <= 1e-9 * max(
             1.0, np.abs(linear).max())
         matched += 1
@@ -302,7 +307,7 @@ def test_ctm_conserves_mass():
     sample = desk.desk_samples(sc, gen, 1, 4).samples[0]
     prof = sc.speed_profile([b[-1] for b in sc.bands])
     traj, flows = reference_ctm(sc, prof.u, sample)
-    assert (simulate_ctm(sc, prof.u, sample) == traj).all()
+    assert (simulate_ctm(sc, prof.u, one_draw(sample)) == traj).all()
     h = sc.h
     prev = np.clip(sample.rho0, 0.0,
                    np.array([s.rho_U for s in sc.segments]))
@@ -318,7 +323,7 @@ def test_ctm_respects_density_caps():
     rng = np.random.default_rng(19)
     sc, gen = desk.sentinel_scenario(rng)
     sample = desk.desk_samples(sc, gen, 1, 0).samples[0]
-    traj = simulate_ctm(sc, sc.uncontrolled_profile(), sample)
+    traj = simulate_ctm(sc, sc.uncontrolled_profile(), one_draw(sample))
     rho_U = np.array([s.rho_U for s in sc.segments])[:, None]
     assert (traj >= 0.0).all()
     assert (traj <= rho_U + 1e-12).all()
@@ -332,7 +337,7 @@ def test_ctm_uncontrolled_uses_top_speeds():
     top = sc.uncontrolled_profile()
     assert top == (140.0,) * 5
     assert all(u > max(band) for u, band in zip(top, sc.bands))
-    free = simulate_ctm(sc, top, sample)
+    free = simulate_ctm(sc, top, one_draw(sample))
     assert free.shape == (5, 5)
     assert (free == reference_ctm(sc, top, sample)[0]).all()
 
@@ -383,7 +388,7 @@ def test_ctm_clamps_signed_zeros_like_the_reference():
     omega[0, 1] = 500.0
     omega[2, 3] = -0.0
     sample = DisturbanceSample(rho0, omega)
-    states = simulate_ctm(sc, sc.uncontrolled_profile(), sample)
+    states = simulate_ctm(sc, sc.uncontrolled_profile(), one_draw(sample))
     reference = reference_ctm(sc, sc.uncontrolled_profile(), sample)[0]
     assert reference[0, 0] == 0.0
     assert (states == reference).all()
